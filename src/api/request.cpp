@@ -1,5 +1,6 @@
 #include "api/request.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 
@@ -190,10 +191,11 @@ Status ValidateMapRequest(const MapRequest& r) {
                                 r.schema_version, kSchemaVersion));
   }
   if (r.fabric.empty()) return FieldError("fabric", "is required");
-  if (!FabricByName(r.fabric).has_value()) {
+  const std::vector<std::string>& fabrics = KnownFabricNames();
+  if (std::find(fabrics.begin(), fabrics.end(), r.fabric) == fabrics.end()) {
     return FieldError("fabric", "unknown fabric preset \"" + r.fabric +
                                     "\" (known: " +
-                                    Join(KnownFabricNames(), ", ") + ")");
+                                    Join(fabrics, ", ") + ")");
   }
   if (r.kernel.empty()) return FieldError("kernel", "is required");
   if (!IsKnownKernel(r.kernel)) {

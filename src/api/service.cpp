@@ -96,7 +96,11 @@ HttpResponse JsonResponse(int status, std::string body,
 }  // namespace
 
 MappingService::MappingService(ServiceOptions options)
-    : options_(std::move(options)) {}
+    : options_(std::move(options)) {
+  for (const std::string& name : KnownFabricNames()) {
+    fabrics_.emplace(name, *FabricByName(name));
+  }
+}
 
 HttpResponse MappingService::Handle(const HttpRequest& request) {
   ServeMetrics::Get().requests.Add(1);
@@ -267,10 +271,10 @@ HttpResponse MappingService::HandleMap(const HttpRequest& http) {
   const std::uint64_t correlation = telemetry::NewCorrelation();
   telemetry::Span span("serve.request", request.name, correlation);
 
-  const std::optional<Architecture> healthy = FabricByName(request.fabric);
+  const auto healthy = fabrics_.find(request.fabric);
   std::optional<Kernel> kernel =
       KernelByName(request.kernel, request.iterations, request.seed);
-  if (!healthy || !kernel) {
+  if (healthy == fabrics_.end() || !kernel) {
     // Unreachable after validation; belt and braces for catalog skew.
     metrics.bad_requests.Add(1);
     return JsonResponse(
@@ -278,17 +282,19 @@ HttpResponse MappingService::HandleMap(const HttpRequest& http) {
                  request, Error::InvalidArgument("unknown fabric or kernel"),
                  timer.Seconds(), correlation)));
   }
-  Architecture arch = *healthy;
+  const Architecture* arch = &healthy->second;
+  std::optional<Architecture> faulted;
   if (!request.dead_cells.empty()) {
     FaultModel fm;
     for (const int c : request.dead_cells) fm.KillCell(c);
-    if (Status s = fm.Validate(arch); !s.ok()) {
+    if (Status s = fm.Validate(*arch); !s.ok()) {
       metrics.bad_requests.Add(1);
       return JsonResponse(400, ToJson(BuildErrorResponse(
                                    request, s.error(), timer.Seconds(),
                                    correlation)));
     }
-    arch = arch.WithFaults(fm);
+    faulted.emplace(arch->WithFaults(fm));
+    arch = &*faulted;
   }
 
   EngineOptions eo;
@@ -300,7 +306,10 @@ HttpResponse MappingService::HandleMap(const HttpRequest& http) {
   eo.max_ii = request.max_ii;
   eo.extra_slack = request.extra_slack;
   eo.cache = options_.cache;
-  eo.mrrg_cache = options_.mrrg_cache;
+  // The shared MrrgCache is keyed by address, so it may only see the
+  // service-lifetime presets; a derated fabric lives for this request
+  // alone and gets the engine's run-local cache (nullptr).
+  eo.mrrg_cache = faulted ? nullptr : options_.mrrg_cache;
   eo.stop = options_.stop;
   eo.isolation = options_.isolation;
   eo.sandbox_limits = options_.sandbox_limits;
@@ -311,7 +320,7 @@ HttpResponse MappingService::HandleMap(const HttpRequest& http) {
   if (request.stats) eo.observer = &trace;
 
   const Result<EngineResult> result =
-      MappingEngine(eo).Run(kernel->dfg, arch, request.mappers);
+      MappingEngine(eo).Run(kernel->dfg, *arch, request.mappers);
   const double wall = timer.Seconds();
   metrics.seconds.Observe(wall);
   if (result.ok()) {

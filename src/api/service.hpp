@@ -14,7 +14,10 @@
 //     cannot pin a worker for longer than the operator allows.
 //   * a shared warm MappingCache + MrrgCache across every request —
 //     the whole point of serving from a daemon instead of forking a
-//     batch compile per request.
+//     batch compile per request. Healthy requests map on one
+//     Architecture per preset built with the service, so each fabric
+//     has one stable address for the MrrgCache key; a dead-cell
+//     request's derated fabric uses a run-local MRRG cache instead.
 //   * request-scoped telemetry: every mapping request runs under a
 //     "serve.request" span with a fresh correlation id that is echoed
 //     in the response body ("corr") and the X-Correlation-Id header.
@@ -32,11 +35,13 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <string>
 
 #include "api/request.hpp"
 #include "api/response.hpp"
 #include "api/stats_window.hpp"
+#include "arch/arch.hpp"
 #include "arch/mrrg_cache.hpp"
 #include "cache/mapping_cache.hpp"
 #include "engine/engine.hpp"
@@ -118,6 +123,8 @@ class MappingService {
   HttpResponse HandleStats() const;
 
   ServiceOptions options_;
+  /// Every healthy preset by name, immutable for the service's lifetime.
+  std::map<std::string, Architecture> fabrics_;
   std::atomic<int> inflight_{0};
   StatsWindow stats_;
 };

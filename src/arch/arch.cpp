@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <queue>
 
 #include "arch/fault.hpp"
 #include "support/bytes.hpp"
@@ -12,7 +11,13 @@
 
 namespace cgra {
 
-Architecture::Architecture(ArchParams params) : params_(std::move(params)) {
+Architecture::Architecture(ArchParams params)
+    : Architecture(std::move(params), NoHopTable{}) {
+  RecomputeHopDistances();
+}
+
+Architecture::Architecture(ArchParams params, NoHopTable)
+    : params_(std::move(params)) {
   const int n = num_cells();
   caps_.resize(static_cast<size_t>(n));
   readable_.resize(static_cast<size_t>(n));
@@ -98,31 +103,50 @@ Architecture::Architecture(ArchParams params) : params_(std::move(params)) {
       for (int o = 0; o < n; ++o) r.push_back(o);
     }
   }
-
-  RecomputeHopDistances();
 }
 
 void Architecture::RecomputeHopDistances() {
-  // Hop distances (BFS over links).
-  const int n = num_cells();
-  hop_dist_.assign(static_cast<size_t>(n) * static_cast<size_t>(n), -1);
-  for (int s = 0; s < n; ++s) {
-    std::queue<int> q;
-    auto dist_of = [&](int t) -> int& {
-      return hop_dist_[static_cast<size_t>(s) * static_cast<size_t>(n) +
-                       static_cast<size_t>(t)];
-    };
-    dist_of(s) = 0;
-    q.push(s);
-    while (!q.empty()) {
-      const int v = q.front();
-      q.pop();
-      for (int w : links_out_[static_cast<size_t>(v)]) {
-        if (dist_of(w) < 0) {
-          dist_of(w) = dist_of(v) + 1;
-          q.push(w);
+  // All-pairs BFS over links, 64 cells per word: `reach` row v holds
+  // the cells within d-1 hops of v, and level d ORs in the rows of v's
+  // link targets. Every bit a level adds is a cell first reached at d
+  // hops. A row that adds no bit has an empty BFS frontier, so it never
+  // grows again and leaves the active list.
+  const size_t n = static_cast<size_t>(num_cells());
+  const size_t words = (n + 63) / 64;
+  hop_dist_.assign(n * n, -1);
+  std::vector<std::uint64_t> reach(n * words, 0);
+  std::vector<int> active(n);
+  for (size_t v = 0; v < n; ++v) {
+    reach[v * words + v / 64] = std::uint64_t{1} << (v % 64);
+    hop_dist_[v * n + v] = 0;
+    active[v] = static_cast<int>(v);
+  }
+  std::vector<std::uint64_t> next = reach;
+  for (int d = 1; !active.empty(); ++d) {
+    size_t kept = 0;
+    for (const int v : active) {
+      const size_t row = static_cast<size_t>(v) * words;
+      for (const int w : links_out_[static_cast<size_t>(v)]) {
+        const size_t src = static_cast<size_t>(w) * words;
+        for (size_t k = 0; k < words; ++k) next[row + k] |= reach[src + k];
+      }
+      bool grew = false;
+      for (size_t k = 0; k < words; ++k) {
+        for (std::uint64_t fresh = next[row + k] & ~reach[row + k]; fresh != 0;
+             fresh &= fresh - 1) {
+          const auto bit = static_cast<size_t>(std::countr_zero(fresh));
+          hop_dist_[static_cast<size_t>(v) * n + k * 64 + bit] = d;
+          grew = true;
         }
       }
+      if (grew) active[kept++] = v;
+    }
+    active.resize(kept);
+    // Publish level d only after every row has read level d-1.
+    for (const int v : active) {
+      const size_t row = static_cast<size_t>(v) * words;
+      std::copy_n(next.begin() + static_cast<std::ptrdiff_t>(row), words,
+                  reach.begin() + static_cast<std::ptrdiff_t>(row));
     }
   }
 }
@@ -133,8 +157,9 @@ Architecture Architecture::WithFaults(const FaultModel& faults) const {
 
   // Rebuild a clean fabric from the params, then derate it: the
   // constructor's capability/link/readable tables are the healthy
-  // baseline that ApplyFaults prunes.
-  Architecture derated(params_);
+  // baseline that ApplyFaults prunes. The hop table is computed once,
+  // on the pruned links.
+  Architecture derated(params_, NoHopTable{});
   derated.faults_ = std::move(merged);
   derated.ApplyFaults();
   return derated;

@@ -111,8 +111,8 @@ class Architecture {
   /// occupying a cell (kConst always; kIterIdx when has_hw_loop).
   bool IsFolded(Opcode op) const;
 
-  /// Manhattan-style hop distance between cells under this topology
-  /// (shortest link path; precomputed).
+  /// Hop distance from `a` to `b`: the shortest link path, precomputed
+  /// for every pair; -1 when no path exists (a dead cell, a cut link).
   int HopDistance(int a, int b) const {
     return hop_dist_[static_cast<size_t>(a) * static_cast<size_t>(num_cells()) +
                      static_cast<size_t>(b)];
@@ -211,6 +211,11 @@ class Architecture {
   static Architecture VliwLike4();     ///< 1x4 row, shared RF only (VLIW foil)
 
  private:
+  /// Builds the healthy capability, link and readable tables but
+  /// leaves the hop table empty (WithFaults computes it after pruning).
+  struct NoHopTable {};
+  Architecture(ArchParams params, NoHopTable);
+
   void RecomputeHopDistances();
   void ApplyFaults();
 

@@ -1,7 +1,11 @@
 // Tests for the architecture model, MRRG, and the configuration
 // encode/decode contract.
 #include <algorithm>
+#include <cstdint>
+#include <queue>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -14,12 +18,15 @@
 namespace cgra {
 namespace {
 
+std::vector<Architecture> AllPresets() {
+  return {Architecture::Small2x2(),  Architecture::Adres4x4(),
+          Architecture::Hetero4x4(), Architecture::Spatial4x4(),
+          Architecture::Torus4x4(),  Architecture::Big8x8(),
+          Architecture::Mega16x16(), Architecture::VliwLike4()};
+}
+
 TEST(Arch, PresetsValidate) {
-  for (const Architecture& arch :
-       {Architecture::Small2x2(), Architecture::Adres4x4(),
-        Architecture::Hetero4x4(), Architecture::Spatial4x4(),
-        Architecture::Torus4x4(), Architecture::Big8x8(),
-        Architecture::Mega16x16(), Architecture::VliwLike4()}) {
+  for (const Architecture& arch : AllPresets()) {
     EXPECT_TRUE(arch.Validate().ok()) << arch.params().name;
   }
 }
@@ -55,6 +62,123 @@ TEST(Arch, HopDistanceSymmetricOnMesh) {
   EXPECT_EQ(arch.HopDistance(arch.CellAt(0, 0), arch.CellAt(3, 3)), 6);
   EXPECT_EQ(arch.HopDistance(arch.CellAt(3, 3), arch.CellAt(0, 0)), 6);
   EXPECT_EQ(arch.HopDistance(arch.CellAt(2, 2), arch.CellAt(2, 2)), 0);
+}
+
+/// Reference hop table: one plain queue BFS per source cell.
+std::vector<int> ReferenceHops(const Architecture& arch) {
+  const int n = arch.num_cells();
+  std::vector<int> dist(static_cast<size_t>(n * n), -1);
+  for (int s = 0; s < n; ++s) {
+    int* row = &dist[static_cast<size_t>(s * n)];
+    std::queue<int> q;
+    row[s] = 0;
+    q.push(s);
+    while (!q.empty()) {
+      const int v = q.front();
+      q.pop();
+      for (const int w : arch.LinksOut(v)) {
+        if (row[w] < 0) {
+          row[w] = row[v] + 1;
+          q.push(w);
+        }
+      }
+    }
+  }
+  return dist;
+}
+
+/// Pair counts that show what a table exercised.
+struct HopShape {
+  int unreachable = 0;
+  int asymmetric = 0;
+};
+
+HopShape ExpectHopsMatchReference(const Architecture& arch,
+                                  const std::string& what) {
+  const int n = arch.num_cells();
+  const std::vector<int> ref = ReferenceHops(arch);
+  HopShape shape;
+  int mismatches = 0;
+  for (int a = 0; a < n; ++a) {
+    for (int b = 0; b < n; ++b) {
+      const int want = ref[static_cast<size_t>(a * n + b)];
+      if (arch.HopDistance(a, b) != want && ++mismatches <= 5) {
+        ADD_FAILURE() << what << ": HopDistance(" << a << ", " << b
+                      << ") = " << arch.HopDistance(a, b) << ", BFS says "
+                      << want;
+      }
+      shape.unreachable += want < 0;
+      shape.asymmetric += want != ref[static_cast<size_t>(b * n + a)];
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << what;
+  return shape;
+}
+
+int LinkCount(const Architecture& arch) {
+  int links = 0;
+  for (int c = 0; c < arch.num_cells(); ++c) {
+    links += static_cast<int>(arch.LinksOut(c).size());
+  }
+  return links;
+}
+
+/// Dead cells plus one-directional dead links, scaled to the fabric.
+FaultModel::RandomSpec HopFaultSpec(const Architecture& arch) {
+  FaultModel::RandomSpec spec;
+  spec.dead_cells = std::max(1, arch.num_cells() / 8);
+  spec.dead_links = LinkCount(arch) / 6;
+  return spec;
+}
+
+TEST(ArchHops, MatchScalarBfsOnHealthyPresets) {
+  for (const Architecture& arch : AllPresets()) {
+    const HopShape shape = ExpectHopsMatchReference(arch, arch.params().name);
+    // Every healthy preset but the link-less VLIW foil is connected.
+    if (LinkCount(arch) > 0) {
+      EXPECT_EQ(shape.unreachable, 0) << arch.params().name;
+    }
+  }
+}
+
+TEST(ArchHops, MatchScalarBfsUnderRandomFaults) {
+  HopShape seen;
+  for (const Architecture& healthy : AllPresets()) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      const FaultModel fm =
+          FaultModel::Random(healthy, HopFaultSpec(healthy), seed);
+      const Architecture faulted = healthy.WithFaults(fm);
+      const HopShape shape = ExpectHopsMatchReference(
+          faulted, healthy.params().name + " seed " + std::to_string(seed) +
+                       ": " + fm.ToString());
+      seen.unreachable += shape.unreachable;
+      seen.asymmetric += shape.asymmetric;
+    }
+  }
+  // The draws reach both shapes the healthy presets never show.
+  EXPECT_GT(seen.unreachable, 0);
+  EXPECT_GT(seen.asymmetric, 0);
+}
+
+TEST(ArchHops, AccumulatedFaultsMatchScalarBfs) {
+  for (const Architecture& healthy : AllPresets()) {
+    const FaultModel first =
+        FaultModel::Random(healthy, HopFaultSpec(healthy), 11);
+    const Architecture once = healthy.WithFaults(first);
+    const FaultModel second = FaultModel::Random(once, HopFaultSpec(once), 12);
+    const Architecture twice = once.WithFaults(second);
+    ExpectHopsMatchReference(twice, healthy.params().name + " accumulated");
+
+    FaultModel merged = first;
+    merged.Merge(second);
+    const Architecture direct = healthy.WithFaults(merged);
+    for (int a = 0; a < healthy.num_cells(); ++a) {
+      for (int b = 0; b < healthy.num_cells(); ++b) {
+        ASSERT_EQ(twice.HopDistance(a, b), direct.HopDistance(a, b))
+            << healthy.params().name << " " << a << "->" << b;
+      }
+    }
+  }
 }
 
 TEST(Arch, HeterogeneousCapabilities) {

@@ -15,6 +15,7 @@
 #include <csignal>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,8 +23,11 @@
 #include "api/request.hpp"
 #include "api/response.hpp"
 #include "api/service.hpp"
+#include "arch/fault.hpp"
 #include "arch/mrrg_cache.hpp"
 #include "cache/mapping_cache.hpp"
+#include "engine/engine.hpp"
+#include "mapping/mapping.hpp"
 #include "support/http.hpp"
 #include "support/json.hpp"
 #include "support/stop_token.hpp"
@@ -119,6 +123,73 @@ TEST(Serve, SharedCacheAnswersRepeatRequests) {
   EXPECT_TRUE(w->cache_hit) << warm->body;
   // The warm answer is the cold one, digest-identical.
   EXPECT_EQ(c->mapping_digest, w->mapping_digest);
+}
+
+/// The digest the in-process engine gives `request`, mapped the way
+/// HandleMap maps it (sequential, same budget and II window).
+std::string InProcessDigest(const api::MapRequest& request) {
+  std::optional<Architecture> arch = api::FabricByName(request.fabric);
+  std::optional<Kernel> kernel =
+      api::KernelByName(request.kernel, request.iterations, request.seed);
+  if (!arch || !kernel) return "no-such-job";
+  if (!request.dead_cells.empty()) {
+    FaultModel fm;
+    for (const int c : request.dead_cells) fm.KillCell(c);
+    arch = arch->WithFaults(fm);
+  }
+  EngineOptions eo;
+  eo.deadline = Deadline::AfterSeconds(request.deadline_seconds);
+  eo.seed = request.seed;
+  eo.min_ii = request.min_ii;
+  eo.max_ii = request.max_ii;
+  eo.extra_slack = request.extra_slack;
+  const Result<EngineResult> r =
+      MappingEngine(eo).Run(kernel->dfg, *arch, request.mappers);
+  return r.ok() ? MappingDigestHex(r->mapping) : "engine-failed";
+}
+
+TEST(Serve, SharedMrrgCacheKeepsFabricsApart) {
+  // One worker serves every request on the same thread, so a fabric
+  // built on its stack lands at the same address each time: the shared
+  // MrrgCache must never answer one fabric's request with another's
+  // MRRG (that mapped torus4x4 on adres4x4's graph and crashed on the
+  // first larger fabric).
+  MrrgCache mrrg;
+  api::ServiceOptions so;
+  so.mrrg_cache = &mrrg;
+  HttpServerOptions ho;
+  ho.workers = 1;
+  TestDaemon d(std::move(so), ho);
+  ASSERT_TRUE(d.start_status.ok());
+
+  struct Job {
+    const char* fabric;
+    std::vector<int> dead_cells;
+  };
+  const Job jobs[] = {{"adres4x4", {}},
+                      {"torus4x4", {}},
+                      {"big8x8", {}},
+                      {"big8x8", {9, 18}},
+                      {"adres4x4", {}}};
+  for (const Job& job : jobs) {
+    api::MapRequest req;
+    req.name = "t";
+    req.fabric = job.fabric;
+    req.kernel = "dot_product";
+    req.mappers = {"ims"};
+    req.dead_cells = job.dead_cells;
+    const Result<HttpResponse> r =
+        d.Fetch("POST", "/v1/map", api::ToJson(req));
+    ASSERT_TRUE(r.ok()) << job.fabric << ": " << r.error().message;
+    ASSERT_EQ(r->status, 200) << r->body;
+    const Result<api::MapResponse> body = api::ParseMapResponseText(r->body);
+    ASSERT_TRUE(body.ok()) << r->body;
+    ASSERT_TRUE(body->ok) << r->body;
+    EXPECT_EQ(body->mapping_digest, InProcessDigest(req))
+        << job.fabric << " with " << job.dead_cells.size() << " dead cells";
+  }
+  // Only the healthy presets enter the shared cache.
+  EXPECT_EQ(mrrg.size(), 3u);
 }
 
 TEST(Serve, Healthz) {
