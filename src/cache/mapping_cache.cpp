@@ -1,9 +1,11 @@
 #include "cache/mapping_cache.hpp"
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <system_error>
+#include <utility>
 
 #include "mapping/validator.hpp"
 #include "support/bytes.hpp"
@@ -187,10 +189,44 @@ std::optional<MappingCache::Entry> MappingCache::ReadDisk(
   return entry;
 }
 
+MappingCache::Fill::Fill(Fill&& other) noexcept
+    : cache_(std::exchange(other.cache_, nullptr)),
+      key_(std::move(other.key_)) {}
+
+MappingCache::Fill& MappingCache::Fill::operator=(Fill&& other) noexcept {
+  if (this != &other) {
+    Release();
+    cache_ = std::exchange(other.cache_, nullptr);
+    key_ = std::move(other.key_);
+  }
+  return *this;
+}
+
+void MappingCache::Fill::Release() {
+  if (cache_ == nullptr) return;
+  Shard& shard = cache_->ShardFor(key_);
+  {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    shard.claimed.erase(key_);
+  }
+  shard.released.notify_all();
+  cache_ = nullptr;
+}
+
 std::optional<MappingCache::Entry> MappingCache::Get(const std::string& key,
                                                      const Dfg& dfg,
                                                      const Architecture& arch,
                                                      LookupInfo* info) {
+  return GetOrClaim(key, dfg, arch, nullptr, Deadline::Unlimited(),
+                    StopToken(), info);
+}
+
+std::optional<MappingCache::Entry> MappingCache::GetOrClaim(
+    const std::string& key, const Dfg& dfg, const Architecture& arch,
+    Fill* fill, const Deadline& deadline, const StopToken& stop,
+    LookupInfo* info) {
+  // Drop a claim the caller still holds before taking any shard lock.
+  if (fill) *fill = Fill();
   telemetry::Span span("cache.probe");
   const std::uint64_t probe_start =
       telemetry::Enabled() ? telemetry::NowNs() : 0;
@@ -202,11 +238,22 @@ std::optional<MappingCache::Entry> MappingCache::Get(const std::string& key,
   Tier tier = Tier::kMemory;
   {
     Shard& shard = ShardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.index.find(std::string_view(key));
-    if (it != shard.index.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      candidate = it->second->second;
+    std::unique_lock<std::mutex> lock(shard.mu);
+    for (;;) {
+      auto it = shard.index.find(std::string_view(key));
+      if (it != shard.index.end()) {
+        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+        candidate = it->second->second;
+        break;
+      }
+      if (fill == nullptr) break;
+      if (shard.claimed.insert(key).second) {
+        fill->cache_ = this;
+        fill->key_ = key;
+        break;
+      }
+      if (stop.StopRequested() || deadline.Expired()) break;
+      shard.released.wait_for(lock, std::chrono::milliseconds(20));
     }
   }
   if (!candidate) {
@@ -235,6 +282,7 @@ std::optional<MappingCache::Entry> MappingCache::Get(const std::string& key,
   }
 
   if (tier == Tier::kDisk) PutMemory(key, *candidate);
+  if (fill) *fill = Fill();
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     if (tier == Tier::kMemory) {

@@ -20,6 +20,11 @@
 // repair loop re-mapping a derated fabric can never be served the
 // pre-fault entry.
 //
+// Single flight: GetOrClaim hands the first caller that misses on a
+// key a Fill claim; concurrent callers that miss on the same key wait
+// for that caller's Put and are served its entry, so a kernel requested
+// by many workers at once is mapped once, not once per worker.
+//
 // Integrity: a hit is re-validated with ValidateMapping against the
 // caller's (dfg, arch) before it is returned (validate_on_hit), and
 // the on-disk blobs are versioned and checksummed — a stale, corrupt,
@@ -27,6 +32,7 @@
 // never returned as a wrong mapping.
 #pragma once
 
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <list>
@@ -36,6 +42,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -43,6 +50,8 @@
 #include "ir/dfg.hpp"
 #include "mapping/mapper.hpp"
 #include "mapping/mapping.hpp"
+#include "support/stop_token.hpp"
+#include "support/timer.hpp"
 
 namespace cgra {
 
@@ -134,6 +143,48 @@ class MappingCache {
                            const Architecture& arch,
                            LookupInfo* info = nullptr);
 
+  /// A claim on computing the entry for one key, from GetOrClaim.
+  /// While it is held, other GetOrClaim callers that miss on the key
+  /// wait for it. The holder Puts the entry, then drops the claim
+  /// (destruction); dropping it without a Put lets one waiter claim
+  /// the key in turn.
+  class Fill {
+   public:
+    Fill() = default;
+    Fill(Fill&& other) noexcept;
+    Fill& operator=(Fill&& other) noexcept;
+    Fill(const Fill&) = delete;
+    Fill& operator=(const Fill&) = delete;
+    ~Fill() { Release(); }
+
+    /// True when this object holds the claim.
+    bool held() const { return cache_ != nullptr; }
+
+   private:
+    friend class MappingCache;
+    Fill(MappingCache* cache, std::string key)
+        : cache_(cache), key_(std::move(key)) {}
+    void Release();
+
+    MappingCache* cache_ = nullptr;
+    std::string key_;
+  };
+
+  /// Get, single-flight. A memory miss on a key nobody has claimed
+  /// claims it into `*fill` before the disk tier is read; a miss then
+  /// obliges the caller to compute the entry and Put it. A miss on a
+  /// key another Fill holds waits until that claim is dropped and
+  /// probes again, so it is served the holder's entry. The wait ends
+  /// early once `deadline` expires or `stop` is requested; that miss,
+  /// and one whose memory entry failed validation, come back
+  /// unclaimed. A hit never holds a claim. One lookup in the stats
+  /// however long it waited. Thread-safe.
+  std::optional<Entry> GetOrClaim(const std::string& key, const Dfg& dfg,
+                                  const Architecture& arch, Fill* fill,
+                                  const Deadline& deadline,
+                                  const StopToken& stop,
+                                  LookupInfo* info = nullptr);
+
   /// Inserts/overwrites `key` in the memory tier and, when configured,
   /// persists it to disk (atomic rename; a failed write only bumps
   /// disk_write_failures). Thread-safe.
@@ -160,6 +211,9 @@ class MappingCache {
     std::unordered_map<std::string_view,
                        std::list<std::pair<std::string, Entry>>::iterator>
         index;
+    /// Keys a Fill holds; `released` signals each drop.
+    std::unordered_set<std::string> claimed;
+    std::condition_variable released;
   };
 
   Shard& ShardFor(const std::string& key);

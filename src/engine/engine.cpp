@@ -395,8 +395,12 @@ Result<EngineResult> MappingEngine::Run(
   }
   // Mapping-cache fast path: a validated hit answers the whole race
   // without spinning up a single mapper. Only successful mappings are
-  // ever stored, so a prior failure never pins a (dfg, arch) pair.
+  // ever stored, so a prior failure never pins a (dfg, arch) pair. A
+  // miss claims the key (`fill`, held until after the Put below), so
+  // concurrent runs of the same problem wait for this one's mapping
+  // instead of computing it again.
   std::string cache_key;
+  MappingCache::Fill fill;
   if (options_.cache) {
     telemetry::Span probe_span(options_.telemetry ? "engine.cache_probe"
                                                   : nullptr);
@@ -405,7 +409,8 @@ Result<EngineResult> MappingEngine::Run(
                                 PortfolioCacheName(portfolio));
     MappingCache::LookupInfo info;
     std::optional<MappingCache::Entry> entry =
-        options_.cache->Get(cache_key, dfg, arch, &info);
+        options_.cache->GetOrClaim(cache_key, dfg, arch, &fill,
+                                   options_.deadline, options_.stop, &info);
     MapEvent e;
     e.kind = MapEvent::Kind::kCacheLookup;
     e.message = cache_key;

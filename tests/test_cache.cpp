@@ -1,13 +1,14 @@
 // Tests for the content-addressed mapping cache (src/cache): key
 // stability and sensitivity, the Mapping binary round-trip, the
 // corruption / version-skew / validate-on-hit fallback-to-miss paths,
-// the engine fast path, and a concurrent hammer (this file is on the
-// TSan CI job's target list).
+// the engine fast path, single-flight claims, and a concurrent hammer
+// (this file is on the TSan CI job's target list).
 #include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -25,6 +26,7 @@
 #include "mapping/mapper.hpp"
 #include "mapping/mapping.hpp"
 #include "mapping/validator.hpp"
+#include "support/stop_token.hpp"
 #include "support/timer.hpp"
 
 namespace cgra {
@@ -527,6 +529,97 @@ TEST(EngineCacheConcurrency, ManyEnginesShareOneCache) {
   EXPECT_EQ(st.lookups, st.mem_hits + st.disk_hits + st.misses);
   // Every kernel beyond its first computation should have hit.
   EXPECT_GE(st.hits(), st.puts);
+}
+
+// ---- single flight ----------------------------------------------------------
+
+TEST(MappingCacheSingleFlight, WaiterIsServedTheHoldersPut) {
+  const Architecture arch = Architecture::Adres4x4();
+  const Kernel k = MakeDotProduct(8, 7);
+  const Mapping m = MapOrDie(k.dfg, arch);
+  MappingCache cache;
+  const std::string key = MappingCacheKey(arch, k.dfg, MapperOptions{}, "ims");
+
+  MappingCache::Fill holder;
+  ASSERT_FALSE(cache.GetOrClaim(key, k.dfg, arch, &holder,
+                                Deadline::AfterSeconds(30), StopToken())
+                   .has_value());
+  ASSERT_TRUE(holder.held());
+
+  std::optional<MappingCache::Entry> served;
+  bool waiter_holds = true;
+  std::thread waiter([&] {
+    MappingCache::Fill fill;
+    served = cache.GetOrClaim(key, k.dfg, arch, &fill,
+                              Deadline::AfterSeconds(30), StopToken());
+    waiter_holds = fill.held();
+  });
+  cache.Put(key, m, "ims");
+  holder = MappingCache::Fill();
+  waiter.join();
+
+  ASSERT_TRUE(served.has_value());
+  EXPECT_EQ(MappingDigestHex(served->mapping), MappingDigestHex(m));
+  EXPECT_FALSE(waiter_holds) << "a hit never holds a claim";
+  const auto st = cache.stats();
+  EXPECT_EQ(st.lookups, 2u);
+  EXPECT_EQ(st.misses, 1u);
+  EXPECT_EQ(st.mem_hits, 1u);
+  EXPECT_EQ(st.puts, 1u);
+}
+
+TEST(MappingCacheSingleFlight, DroppedClaimPassesToAWaiter) {
+  const Architecture arch = Architecture::Adres4x4();
+  const Kernel k = MakeDotProduct(8, 7);
+  MappingCache cache;
+  const std::string key = MappingCacheKey(arch, k.dfg, MapperOptions{}, "ims");
+
+  MappingCache::Fill holder;
+  cache.GetOrClaim(key, k.dfg, arch, &holder, Deadline::AfterSeconds(30),
+                   StopToken());
+  ASSERT_TRUE(holder.held());
+
+  std::optional<MappingCache::Entry> served;
+  bool waiter_holds = false;
+  std::thread waiter([&] {
+    MappingCache::Fill fill;
+    served = cache.GetOrClaim(key, k.dfg, arch, &fill,
+                              Deadline::AfterSeconds(30), StopToken());
+    waiter_holds = fill.held();
+  });
+  holder = MappingCache::Fill();  // the holder failed: no Put
+  waiter.join();
+
+  EXPECT_FALSE(served.has_value());
+  EXPECT_TRUE(waiter_holds) << "the waiter must compute the entry in turn";
+}
+
+TEST(MappingCacheSingleFlight, WaitEndsAtDeadlineOrStopUnclaimed) {
+  const Architecture arch = Architecture::Adres4x4();
+  const Kernel k = MakeDotProduct(8, 7);
+  MappingCache cache;
+  const std::string key = MappingCacheKey(arch, k.dfg, MapperOptions{}, "ims");
+
+  MappingCache::Fill holder;
+  cache.GetOrClaim(key, k.dfg, arch, &holder, Deadline::AfterSeconds(30),
+                   StopToken());
+  ASSERT_TRUE(holder.held());
+
+  MappingCache::Fill late;
+  EXPECT_FALSE(cache.GetOrClaim(key, k.dfg, arch, &late,
+                                Deadline::AfterSeconds(0.05), StopToken())
+                   .has_value());
+  EXPECT_FALSE(late.held());
+
+  StopSource stop;
+  stop.RequestStop();
+  MappingCache::Fill stopped;
+  EXPECT_FALSE(cache.GetOrClaim(key, k.dfg, arch, &stopped,
+                                Deadline::AfterSeconds(30), stop.token())
+                   .has_value());
+  EXPECT_FALSE(stopped.held());
+  EXPECT_TRUE(holder.held());
+  EXPECT_EQ(cache.stats().misses, 3u);
 }
 
 }  // namespace
