@@ -1,15 +1,11 @@
 // perf_suite: the machine-readable performance benchmark behind
 // docs/PERF.md.
 //
-// Three sections, emitted together as BENCH_perf.json:
+// Two sections, emitted together as BENCH_perf.json:
 //   * router_micro — the deterministic route-query stream the flat
 //     arena rewrite was measured against (plain Dijkstra and the A*
 //     variant), with route-stream digests so a speedup can never be
 //     bought with silently different routes;
-//   * route_fanout — deterministic fanout sets routed once via the
-//     batched RouteFanout API and once via the sequential RouteValue
-//     loop it replaces; the row records both times, the speedup, and
-//     a digests_match flag the checker requires to be true;
 //   * mapper_suite — representative mappers end to end (greedy
 //     placement, DRESC-style annealing [22], edge-centric EMS [37],
 //     iterative modulo scheduling IMS) over the tiny kernel suite on
@@ -99,7 +95,6 @@ std::string PerfJson(const PerfCounters& p, double seconds) {
   return StrFormat(
       "{\"router_queries\":%llu,\"router_routed\":%llu,"
       "\"router_queries_per_sec\":%.1f,"
-      "\"fanout_batches\":%llu,\"fanout_batched_routes\":%llu,"
       "\"router_pushes\":%llu,\"router_pops\":%llu,"
       "\"router_expansions\":%llu,"
       "\"arena_reuses\":%llu,\"arena_grows\":%llu,"
@@ -108,8 +103,6 @@ std::string PerfJson(const PerfCounters& p, double seconds) {
       "\"tracker_occupies\":%llu,\"tracker_releases\":%llu}",
       static_cast<unsigned long long>(p.router_queries),
       static_cast<unsigned long long>(p.router_routed), qps,
-      static_cast<unsigned long long>(p.fanout_batches),
-      static_cast<unsigned long long>(p.fanout_batched_routes),
       static_cast<unsigned long long>(p.router_pushes),
       static_cast<unsigned long long>(p.router_pops),
       static_cast<unsigned long long>(p.router_expansions),
@@ -170,110 +163,6 @@ MicroResult RouterMicro(const Architecture& arch, int ii, int rounds,
           held.emplace_back(std::move(route).value(), req.value);
         } else {
           ReleaseRoute(tracker, *route, req.value);
-        }
-      }
-    }
-  }
-  out.seconds = timer.Seconds();
-  out.perf = ThreadPerfCounters() - before;
-  return out;
-}
-
-// ---- fanout batching benchmark ----------------------------------------------
-// The deterministic fanout-set stream behind the route_fanout section:
-// each round places one pseudo-producer and routes 2..4 sinks off it,
-// either as ONE RouteFanout batch or as the equivalent sequential
-// RouteValue loop (with matching reverse-order rollback on failure, so
-// tracker evolution is identical). Digest equality between the two
-// modes is recorded in the JSON and enforced by check_perf_json.py —
-// the batching speedup can never be bought with different routes.
-
-struct FanoutResult {
-  long long batches = 0;   ///< fanout sets attempted
-  long long requests = 0;  ///< individual sink routes requested
-  long long routed = 0;    ///< sink routes committed (all-or-nothing per set)
-  double seconds = 0;
-  std::uint64_t digest = 1469598103934665603ull;
-  PerfCounters perf;
-};
-
-FanoutResult FanoutBench(const Architecture& arch, int ii, int rounds,
-                         bool batched, bool use_heuristic) {
-  const Mrrg mrrg(arch);
-  ResourceTracker tracker(mrrg, ii);
-  Rng rng(0xFA4007ull + static_cast<unsigned>(ii));
-  RouterOptions opts;
-  opts.use_heuristic = use_heuristic;
-  FanoutResult out;
-  const PerfCounters before = ThreadPerfCounters();
-  WallTimer timer;
-  std::vector<RouteRequest> reqs;
-  std::vector<Route> seq_routes;
-  for (int r = 0; r < rounds; ++r) {
-    // Reset often enough that most batches succeed: a real placer's
-    // fanout batches mostly route (a failed batch aborts the whole
-    // placement), so a failure-dominated stream would mis-weight the
-    // failure path.
-    if ((r & 7) == 0) tracker.Reset();
-    const int from_cell =
-        static_cast<int>(rng.NextIndex(static_cast<size_t>(arch.num_cells())));
-    const int from_time = static_cast<int>(rng.NextIndex(static_cast<size_t>(ii)));
-    const ValueId value = static_cast<ValueId>(r & 1023);
-    // Fanout shape mirrors what PlaceRouteState::TryPlace emits: a few
-    // consumer cells, each consuming the value on 1..3 edges (e.g. both
-    // operands of one op), so consecutive requests often share to_cell
-    // — the case where RouteFanout reuses the goal/hop-bound caches.
-    const int consumers = 1 + static_cast<int>(rng.NextIndex(2));
-    reqs.clear();
-    for (int c = 0; c < consumers; ++c) {
-      const int to_cell = static_cast<int>(
-          rng.NextIndex(static_cast<size_t>(arch.num_cells())));
-      const int hops = arch.HopDistance(from_cell, to_cell);
-      const int edges = 1 + static_cast<int>(rng.NextIndex(3));
-      for (int s = 0; s < edges; ++s) {
-        RouteRequest req;
-        req.from_cell = from_cell;
-        req.from_time = from_time;
-        req.to_cell = to_cell;
-        req.to_time =
-            from_time + 1 + hops + static_cast<int>(rng.NextIndex(4));
-        req.value = value;
-        reqs.push_back(req);
-      }
-    }
-    const int fanout = static_cast<int>(reqs.size());
-    ++out.batches;
-    out.requests += fanout;
-    if (batched) {
-      auto routes = RouteFanout(mrrg, tracker, reqs.data(), reqs.size(), opts);
-      if (routes.ok()) {
-        out.routed += static_cast<long long>(routes->size());
-        for (const Route& rt : *routes) {
-          out.digest = HashU64(out.digest, RouteDigest(rt));
-        }
-      }
-    } else {
-      // Sequential reference with RouteFanout's atomic semantics: on
-      // any sink failure, release the sinks already committed (reverse
-      // order) so the tracker evolves identically in both modes.
-      seq_routes.clear();
-      bool ok = true;
-      for (const RouteRequest& req : reqs) {
-        auto route = RouteValue(mrrg, tracker, req, opts);
-        if (!route.ok()) {
-          ok = false;
-          break;
-        }
-        seq_routes.push_back(std::move(route).value());
-      }
-      if (ok) {
-        out.routed += static_cast<long long>(seq_routes.size());
-        for (const Route& rt : seq_routes) {
-          out.digest = HashU64(out.digest, RouteDigest(rt));
-        }
-      } else {
-        for (size_t i = seq_routes.size(); i-- > 0;) {
-          ReleaseRoute(tracker, seq_routes[i], value);
         }
       }
     }
@@ -348,74 +237,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<std::string> fanout_rows;
-  {
-    struct Scenario {
-      const char* name;
-      Architecture arch;
-      int ii;
-      int rounds;
-    };
-    std::vector<Scenario> scenarios = {
-        {"adres4x4_ii2", Architecture::Adres4x4(), 2, 8000 / div},
-        {"adres4x4_ii4", Architecture::Adres4x4(), 4, 8000 / div},
-        {"big8x8_ii2", Architecture::Big8x8(), 2, 4000 / div},
-    };
-    if (!small) {
-      scenarios.push_back({"mega16x16_ii2", Architecture::Mega16x16(), 2, 800});
-    }
-    std::printf("== route fanout (batched vs sequential) ==\n");
-    for (const Scenario& s : scenarios) {
-      for (const bool heuristic : {false, true}) {
-        // Alternate modes and keep each mode's best of three: the two
-        // modes do identical search work (digest-checked below), so
-        // min-of-alternating isolates the API overhead from clock
-        // drift instead of charging it all to whichever ran second.
-        FanoutResult seq, bat;
-        for (int rep = 0; rep < 3; ++rep) {
-          const FanoutResult sr =
-              FanoutBench(s.arch, s.ii, s.rounds, /*batched=*/false, heuristic);
-          const FanoutResult br =
-              FanoutBench(s.arch, s.ii, s.rounds, /*batched=*/true, heuristic);
-          if (rep == 0 || sr.seconds < seq.seconds) seq = sr;
-          if (rep == 0 || br.seconds < bat.seconds) bat = br;
-        }
-        const bool match =
-            bat.digest == seq.digest && bat.routed == seq.routed;
-        const double speedup =
-            bat.seconds > 0 ? seq.seconds / bat.seconds : 0.0;
-        const double rps =
-            bat.seconds > 0 ? static_cast<double>(bat.requests) / bat.seconds
-                            : 0.0;
-        std::printf(
-            "%-14s %-8s batches=%lld requests=%lld routed=%lld "
-            "batched=%.1fms sequential=%.1fms speedup=%.2fx digest=%s%s\n",
-            s.name, heuristic ? "astar" : "dijkstra", bat.batches,
-            bat.requests, bat.routed, bat.seconds * 1e3, seq.seconds * 1e3,
-            speedup, Hex(bat.digest).c_str(),
-            match ? "" : "  DIGEST MISMATCH");
-        if (!match) {
-          std::fprintf(stderr,
-                       "route_fanout %s: batched digest %s != sequential %s\n",
-                       s.name, Hex(bat.digest).c_str(),
-                       Hex(seq.digest).c_str());
-          return 1;
-        }
-        fanout_rows.push_back(StrFormat(
-            "{\"scenario\":\"%s\",\"heuristic\":%s,"
-            "\"batches\":%lld,\"requests\":%lld,"
-            "\"routed\":%lld,\"batched_seconds\":%.6f,"
-            "\"sequential_seconds\":%.6f,\"speedup\":%.4f,"
-            "\"requests_per_sec\":%.1f,\"route_digest\":\"%s\","
-            "\"digests_match\":%s,\"counters\":%s}",
-            s.name, heuristic ? "true" : "false", bat.batches, bat.requests,
-            bat.routed, bat.seconds, seq.seconds, speedup, rps,
-            Hex(bat.digest).c_str(), match ? "true" : "false",
-            PerfJson(bat.perf, bat.seconds).c_str()));
-      }
-    }
-  }
-
   std::vector<std::string> suite_rows;
   {
     struct Fabric {
@@ -481,17 +302,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
     return 1;
   }
-  std::fprintf(out, "{\n  \"schema_version\": 2,\n  \"preset\": \"%s\",\n",
+  std::fprintf(out, "{\n  \"schema_version\": 3,\n  \"preset\": \"%s\",\n",
                small ? "small" : "full");
   std::fprintf(out, "  \"router_micro\": [\n");
   for (size_t i = 0; i < micro_rows.size(); ++i) {
     std::fprintf(out, "    %s%s\n", micro_rows[i].c_str(),
                  i + 1 < micro_rows.size() ? "," : "");
-  }
-  std::fprintf(out, "  ],\n  \"route_fanout\": [\n");
-  for (size_t i = 0; i < fanout_rows.size(); ++i) {
-    std::fprintf(out, "    %s%s\n", fanout_rows[i].c_str(),
-                 i + 1 < fanout_rows.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n  \"mapper_suite\": [\n");
   for (size_t i = 0; i < suite_rows.size(); ++i) {

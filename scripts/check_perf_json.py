@@ -1,22 +1,17 @@
 #!/usr/bin/env python3
 """Validate a BENCH_perf.json emitted by bench/perf_suite.
 
-Schema version 2 — documented in docs/PERF.md. Stdlib only, so CI can
+Schema version 3 — documented in docs/PERF.md. Stdlib only, so CI can
 run it on a bare runner. Exit 0 when valid, 1 with a pointed message
-when not. v2 adds the route_fanout section (batched RouteFanout vs
-sequential RouteValue over identical fanout sets); its digests_match
-flag MUST be true — a fanout speedup bought with different routes is
-a correctness bug, not a win — and the fanout_batches /
-fanout_batched_routes counters join the per-row counter objects.
+when not. v3 drops v2's route_fanout section and its two fanout
+counters, along with the batched routing API they measured.
 
 With --compare the file is additionally gated against a committed
 baseline (bench/baselines/): router_micro rows are matched on
 (scenario, heuristic) and their queries_per_sec must not fall more
-than --tolerance-pct below the baseline; route_fanout rows are matched
-on (scenario, heuristic) and their requests_per_sec must not fall
-below the same floor; mapper_suite rows are matched on (fabric,
-mapper, kernel) and
-their wall_seconds must not rise more than --tolerance-pct above it.
+than --tolerance-pct below the baseline; mapper_suite rows are matched
+on (fabric, mapper, kernel) and their wall_seconds must not rise more
+than --tolerance-pct above it.
 Rows present in the baseline but absent from the candidate are
 failures (a silently dropped benchmark is a regression too); new
 candidate rows are fine. Only rows ok in both files race the clock.
@@ -33,8 +28,6 @@ COUNTER_KEYS = {
     "router_queries": int,
     "router_routed": int,
     "router_queries_per_sec": (int, float),
-    "fanout_batches": int,
-    "fanout_batched_routes": int,
     "router_pushes": int,
     "router_pops": int,
     "router_expansions": int,
@@ -72,10 +65,6 @@ def check_counters(where, obj):
     qs, rt = obj.get("router_queries"), obj.get("router_routed")
     if isinstance(qs, int) and isinstance(rt, int) and rt > qs:
         fail(where, f"router_routed {rt} > router_queries {qs}")
-    fb, fr = obj.get("fanout_batches"), obj.get("fanout_batched_routes")
-    if isinstance(fb, int) and isinstance(fr, int) and fb > 0 and fr < fb:
-        # Every committed batch carries at least one route.
-        fail(where, f"fanout_batched_routes {fr} < fanout_batches {fb}")
 
 
 def check_field(where, obj, key, types, predicate=None, describe=""):
@@ -123,22 +112,6 @@ def compare_to_baseline(path, doc, base_path, baseline, tolerance_pct):
                  f"queries_per_sec regressed: {qps:.0f} < {base_qps:.0f} "
                  f"- {tolerance_pct}% (floor {rate_floor(base_qps):.0f})")
 
-    base_fanout = {(r["scenario"], r["heuristic"]): r
-                   for r in baseline.get("route_fanout", [])}
-    cand_fanout = {(r.get("scenario"), r.get("heuristic")): r
-                   for r in doc.get("route_fanout", [])}
-    for key, brow in sorted(base_fanout.items()):
-        where = f"route_fanout[scenario={key[0]!r}, heuristic={key[1]}]"
-        crow = cand_fanout.get(key)
-        if crow is None:
-            fail(where, f"present in baseline {base_path} but missing here")
-            continue
-        base_rps, rps = brow["requests_per_sec"], crow.get("requests_per_sec")
-        if isinstance(rps, (int, float)) and rps < rate_floor(base_rps):
-            fail(where,
-                 f"requests_per_sec regressed: {rps:.0f} < {base_rps:.0f} "
-                 f"- {tolerance_pct}% (floor {rate_floor(base_rps):.0f})")
-
     base_suite = {(r["fabric"], r["mapper"], r["kernel"]): r
                   for r in baseline.get("mapper_suite", [])}
     cand_suite = {(r.get("fabric"), r.get("mapper"), r.get("kernel")): r
@@ -179,18 +152,16 @@ def main():
         print(f"{path}: {e}", file=sys.stderr)
         return 1
 
-    check_field("top", doc, "schema_version", int, lambda v: v == 2, "!= 2")
+    check_field("top", doc, "schema_version", int, lambda v: v == 3, "!= 3")
     check_field("top", doc, "preset", str, lambda v: v in ("full", "small"),
                 "not 'full'/'small'")
     micro = check_field("top", doc, "router_micro", list, lambda v: v,
                         "is empty")
-    fanout = check_field("top", doc, "route_fanout", list, lambda v: v,
-                         "is empty")
     suite = check_field("top", doc, "mapper_suite", list, lambda v: v,
                         "is empty")
     for key in doc:
         if key not in ("schema_version", "preset", "router_micro",
-                       "route_fanout", "mapper_suite"):
+                       "mapper_suite"):
             fail("top", f"unknown key '{key}'")
 
     for i, row in enumerate(micro or []):
@@ -205,30 +176,6 @@ def main():
                     lambda v: v > 0, "<= 0")
         check_field(where, row, "route_digest", str, is_hex_digest,
                     "is not a 16-hex-digit digest")
-        if "counters" in row:
-            check_counters(where + ".counters", row["counters"])
-        else:
-            fail(where, "missing 'counters'")
-
-    for i, row in enumerate(fanout or []):
-        where = f"route_fanout[{i}]"
-        check_field(where, row, "scenario", str, lambda v: v, "is empty")
-        check_field(where, row, "heuristic", bool)
-        check_field(where, row, "batches", int, lambda v: v > 0, "<= 0")
-        check_field(where, row, "requests", int, lambda v: v > 0, "<= 0")
-        check_field(where, row, "routed", int, lambda v: v >= 0, "< 0")
-        check_field(where, row, "batched_seconds", (int, float),
-                    lambda v: v > 0, "<= 0")
-        check_field(where, row, "sequential_seconds", (int, float),
-                    lambda v: v > 0, "<= 0")
-        check_field(where, row, "speedup", (int, float), lambda v: v > 0,
-                    "<= 0")
-        check_field(where, row, "requests_per_sec", (int, float),
-                    lambda v: v > 0, "<= 0")
-        check_field(where, row, "route_digest", str, is_hex_digest,
-                    "is not a 16-hex-digit digest")
-        check_field(where, row, "digests_match", bool, lambda v: v,
-                    "— batched and sequential routes diverged")
         if "counters" in row:
             check_counters(where + ".counters", row["counters"])
         else:
@@ -281,10 +228,9 @@ def main():
         print(f"{path}: INVALID ({len(errors)} problem(s))", file=sys.stderr)
         return 1
     n_micro = len(micro or [])
-    n_fanout = len(fanout or [])
     n_suite = len(suite or [])
-    print(f"{path}: valid (schema 2, {n_micro} micro rows, "
-          f"{n_fanout} fanout rows, {n_suite} suite rows{compared})")
+    print(f"{path}: valid (schema 3, {n_micro} micro rows, "
+          f"{n_suite} suite rows{compared})")
     return 0
 
 

@@ -101,8 +101,6 @@ std::string MapTrace::ToJson() const {
       w.Key("perf").BeginObject();
       w.Key("router_queries").Uint(a.perf.router_queries);
       w.Key("router_routed").Uint(a.perf.router_routed);
-      w.Key("fanout_batches").Uint(a.perf.fanout_batches);
-      w.Key("fanout_batched_routes").Uint(a.perf.fanout_batched_routes);
       w.Key("router_pushes").Uint(a.perf.router_pushes);
       w.Key("router_pops").Uint(a.perf.router_pops);
       w.Key("router_expansions").Uint(a.perf.router_expansions);

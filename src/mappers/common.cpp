@@ -50,6 +50,62 @@ void ObserveAttemptMetrics(bool ok, int ii, double seconds,
   m.router_queries.Observe(static_cast<double>(perf.router_queries));
 }
 
+// The bracket around one observed attempt at `ii`, shared by
+// EscalateIi and ObservedAttempt: the start event, the PerfCounters
+// snapshot, the correlation id, the SearchLog install, the span, the
+// done event and the attempt metrics.
+template <typename Attempt>
+Result<Mapping> BracketAttempt(const std::string& name,
+                               const MapperOptions& options, int ii,
+                               const Attempt& attempt) {
+  MapEvent start;
+  start.kind = MapEvent::Kind::kAttemptStart;
+  start.mapper = name;
+  start.ii = ii;
+  NotifyObserver(options.observer, start);
+
+  const PerfCounters perf_before = ThreadPerfCounters();
+  WallTimer timer;
+  // The span and the kAttemptDone event share one correlation id,
+  // joining the MapTrace row to its trace spans.
+  const std::uint64_t correlation =
+      telemetry::Enabled() ? telemetry::NewCorrelation() : 0;
+  // Search introspection: one collector per attempt, installed in the
+  // thread-local slot for the attempt's extent only. Gated on an
+  // observer being present — without one the log would have nowhere
+  // to go.
+  std::shared_ptr<telemetry::SearchLog> search;
+  if (options.search_log && options.observer != nullptr &&
+      telemetry::GetSearchDetail() != telemetry::SearchDetail::kOff) {
+    search = std::make_shared<telemetry::SearchLog>();
+  }
+  Result<Mapping> r = [&] {
+    telemetry::Span span(
+        "attempt",
+        telemetry::Enabled() ? StrFormat("%s ii=%d", name.c_str(), ii) : "",
+        correlation);
+    telemetry::ScopedSearchLog scoped(search.get());
+    return attempt();
+  }();
+
+  MapEvent done;
+  done.kind = MapEvent::Kind::kAttemptDone;
+  done.mapper = name;
+  done.ii = ii;
+  done.ok = r.ok();
+  done.seconds = timer.Seconds();
+  done.perf = ThreadPerfCounters() - perf_before;
+  done.correlation = correlation;
+  if (!r.ok()) {
+    done.error_code = r.error().code;
+    done.message = r.error().message;
+  }
+  if (search != nullptr && search->Any()) done.search = std::move(search);
+  NotifyObserver(options.observer, done);
+  ObserveAttemptMetrics(done.ok, ii, done.seconds, done.perf);
+  return r;
+}
+
 // Dependence edges that constrain timing (edges from folded producers
 // do not: immediates are available at every cycle).
 std::vector<DfgEdge> TimingEdges(const Dfg& dfg, const Architecture& arch) {
@@ -434,52 +490,8 @@ Result<Mapping> EscalateIi(const Mapper& self, const Dfg& dfg,
     if (options.deadline.Expired()) {
       return Error::ResourceLimit("mapper deadline expired during II escalation");
     }
-    MapEvent start;
-    start.kind = MapEvent::Kind::kAttemptStart;
-    start.mapper = name;
-    start.ii = ii;
-    NotifyObserver(options.observer, start);
-
-    const PerfCounters perf_before = ThreadPerfCounters();
-    WallTimer timer;
-    // The span and the kAttemptDone event share one correlation id,
-    // joining the MapTrace row to its trace spans.
-    const std::uint64_t correlation =
-        telemetry::Enabled() ? telemetry::NewCorrelation() : 0;
-    // Search introspection: one collector per attempt, installed in the
-    // thread-local slot for the attempt's extent only. Gated on an
-    // observer being present — without one the log would have nowhere
-    // to go.
-    std::shared_ptr<telemetry::SearchLog> search;
-    if (options.search_log && options.observer != nullptr &&
-        telemetry::GetSearchDetail() != telemetry::SearchDetail::kOff) {
-      search = std::make_shared<telemetry::SearchLog>();
-    }
-    Result<Mapping> r = [&] {
-      telemetry::Span span(
-          "attempt",
-          telemetry::Enabled() ? StrFormat("%s ii=%d", name.c_str(), ii) : "",
-          correlation);
-      telemetry::ScopedSearchLog scoped(search.get());
-      return attempt(ii);
-    }();
-
-    MapEvent done;
-    done.kind = MapEvent::Kind::kAttemptDone;
-    done.mapper = name;
-    done.ii = ii;
-    done.ok = r.ok();
-    done.seconds = timer.Seconds();
-    done.perf = ThreadPerfCounters() - perf_before;
-    done.correlation = correlation;
-    if (!r.ok()) {
-      done.error_code = r.error().code;
-      done.message = r.error().message;
-    }
-    if (search != nullptr && search->Any()) done.search = std::move(search);
-    NotifyObserver(options.observer, done);
-    ObserveAttemptMetrics(done.ok, ii, done.seconds, done.perf);
-
+    Result<Mapping> r =
+        BracketAttempt(name, options, ii, [&] { return attempt(ii); });
     if (r.ok()) return r;
     last = r.error();
   }
@@ -495,48 +507,7 @@ Result<Mapping> ObservedAttempt(const Mapper& self,
   if (options.deadline.Expired()) {
     return Error::ResourceLimit("mapper deadline expired before its attempt");
   }
-  MapEvent start;
-  start.kind = MapEvent::Kind::kAttemptStart;
-  start.mapper = self.name();
-  start.ii = ii;
-  NotifyObserver(options.observer, start);
-
-  const PerfCounters perf_before = ThreadPerfCounters();
-  WallTimer timer;
-  const std::uint64_t correlation =
-      telemetry::Enabled() ? telemetry::NewCorrelation() : 0;
-  std::shared_ptr<telemetry::SearchLog> search;
-  if (options.search_log && options.observer != nullptr &&
-      telemetry::GetSearchDetail() != telemetry::SearchDetail::kOff) {
-    search = std::make_shared<telemetry::SearchLog>();
-  }
-  Result<Mapping> r = [&] {
-    telemetry::Span span(
-        "attempt",
-        telemetry::Enabled()
-            ? StrFormat("%s ii=%d", self.name().c_str(), ii)
-            : "",
-        correlation);
-    telemetry::ScopedSearchLog scoped(search.get());
-    return attempt();
-  }();
-
-  MapEvent done;
-  done.kind = MapEvent::Kind::kAttemptDone;
-  done.mapper = self.name();
-  done.ii = ii;
-  done.ok = r.ok();
-  done.seconds = timer.Seconds();
-  done.perf = ThreadPerfCounters() - perf_before;
-  done.correlation = correlation;
-  if (!r.ok()) {
-    done.error_code = r.error().code;
-    done.message = r.error().message;
-  }
-  if (search != nullptr && search->Any()) done.search = std::move(search);
-  NotifyObserver(options.observer, done);
-  ObserveAttemptMetrics(done.ok, ii, done.seconds, done.perf);
-  return r;
+  return BracketAttempt(self.name(), options, ii, attempt);
 }
 
 void NoteSolverSteps(const Mapper& self, const MapperOptions& options, int ii,

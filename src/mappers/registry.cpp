@@ -10,8 +10,7 @@ namespace {
 
 // The single source of truth for "every shipped mapper, in a stable
 // order": Table I column order (heuristics, meta-heuristics, exact
-// ILP / B&B, exact CSP). Both the registry and the MakeAllMappers()
-// compatibility wrapper construct from this list.
+// ILP / B&B, exact CSP). The registry constructs from this list.
 using MapperFactory = std::unique_ptr<Mapper> (*)();
 
 constexpr MapperFactory kFactories[] = {
@@ -93,13 +92,6 @@ std::vector<const Mapper*> MapperRegistry::All() const {
   out.reserve(mappers_.size());
   for (const auto& m : mappers_) out.push_back(m.get());
   return out;
-}
-
-std::vector<std::unique_ptr<Mapper>> MakeAllMappers() {
-  std::vector<std::unique_ptr<Mapper>> mappers;
-  mappers.reserve(std::size(kFactories));
-  for (MapperFactory make : kFactories) mappers.push_back(make());
-  return mappers;
 }
 
 }  // namespace cgra

@@ -1,15 +1,14 @@
 // The mapper registry: the library's catalogue of Table-I techniques.
 //
-// Replaces the scan-the-vector idiom around MakeAllMappers() with real
-// lookups: benches pick cells by technique class, the portfolio engine
-// assembles race line-ups by name, and tests iterate in a stable,
-// documented order (heuristics, then meta-heuristics, then exact ILP /
-// B&B, then exact CSP — the column order of the survey's Table I).
+// The only constructor of the mapper list, with real lookups: benches
+// pick cells by technique class, the portfolio engine assembles race
+// line-ups by name, and tests iterate in a stable, documented order
+// (heuristics, then meta-heuristics, then exact ILP / B&B, then exact
+// CSP — the column order of the survey's Table I).
 //
 // Instances are constructed once per registry and shared; Mapper
 // implementations are stateless (Map() is const), so handing the same
-// instance to concurrent callers is safe. MakeAllMappers() remains as
-// a thin compatibility wrapper that builds fresh instances.
+// instance to concurrent callers is safe.
 #pragma once
 
 #include <cstddef>

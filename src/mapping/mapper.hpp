@@ -118,10 +118,4 @@ class Mapper {
                               const MapperOptions& options) const = 0;
 };
 
-/// Compatibility wrapper: freshly constructed instances of every
-/// shipped mapper, in the registry's stable order. New code should use
-/// MapperRegistry (mappers/registry.hpp), which adds name / technique /
-/// kind lookup on shared instances.
-std::vector<std::unique_ptr<Mapper>> MakeAllMappers();
-
 }  // namespace cgra

@@ -31,10 +31,8 @@ struct PerfCounters {
   }
 
   // Router (mapping/router.cpp).
-  std::uint64_t router_queries = 0;     ///< route queries (RouteValue + RouteFanout sinks)
+  std::uint64_t router_queries = 0;     ///< RouteValue calls
   std::uint64_t router_routed = 0;      ///< ... that returned a route
-  std::uint64_t fanout_batches = 0;     ///< RouteFanout calls (one per placed-op fanout set)
-  std::uint64_t fanout_batched_routes = 0;  ///< routes committed via those batches
   std::uint64_t router_pushes = 0;      ///< priority-queue pushes
   std::uint64_t router_pops = 0;        ///< priority-queue pops
   std::uint64_t router_expansions = 0;  ///< states expanded (out-links walked)
@@ -53,8 +51,6 @@ struct PerfCounters {
   PerfCounters& operator+=(const PerfCounters& o) {
     router_queries = SatAdd(router_queries, o.router_queries);
     router_routed = SatAdd(router_routed, o.router_routed);
-    fanout_batches = SatAdd(fanout_batches, o.fanout_batches);
-    fanout_batched_routes = SatAdd(fanout_batched_routes, o.fanout_batched_routes);
     router_pushes = SatAdd(router_pushes, o.router_pushes);
     router_pops = SatAdd(router_pops, o.router_pops);
     router_expansions = SatAdd(router_expansions, o.router_expansions);
@@ -74,8 +70,6 @@ struct PerfCounters {
     PerfCounters d;
     d.router_queries = router_queries - o.router_queries;
     d.router_routed = router_routed - o.router_routed;
-    d.fanout_batches = fanout_batches - o.fanout_batches;
-    d.fanout_batched_routes = fanout_batched_routes - o.fanout_batched_routes;
     d.router_pushes = router_pushes - o.router_pushes;
     d.router_pops = router_pops - o.router_pops;
     d.router_expansions = router_expansions - o.router_expansions;

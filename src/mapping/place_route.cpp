@@ -136,41 +136,6 @@ bool PlaceRouteState::TryPlace(OpId op, int cell, int time,
   std::vector<int> routed;
   last_route_steps_ = 0;
   bool ok = true;
-  // Fanout edges of `op` that appear consecutively in edges_of_ share
-  // (source cell, source time, value == op), so each consecutive run
-  // is routed as ONE RouteFanout batch. Flushing the pending batch
-  // before any non-batchable edge keeps the router invocation order —
-  // and therefore the tracker evolution and tie-breaking — identical
-  // to the sequential RouteEdge loop this replaces (the golden mapper
-  // digests in tests/test_router_golden.cpp pin that equivalence).
-  const Placement& self = place_[static_cast<size_t>(op)];
-  std::vector<int> batch_edges;
-  std::vector<RouteRequest> batch_reqs;
-  auto flush_fanout = [&]() -> bool {
-    if (batch_edges.empty()) return true;
-    auto routes = RouteFanout(*mrrg_, tracker_, batch_reqs.data(),
-                              batch_reqs.size(), router_options);
-    if (!routes.ok()) {
-      // RouteFanout is atomic: nothing from this batch is committed.
-      for (const RouteRequest& req : batch_reqs) {
-        telemetry::SearchRecordRouteResult(false);
-        telemetry::SearchRecordCellCongested(req.to_cell);
-      }
-      last_fail_ = FailReason::kRouteCongested;
-      return false;
-    }
-    for (size_t i = 0; i < batch_edges.size(); ++i) {
-      const int e = batch_edges[i];
-      telemetry::SearchRecordRouteResult(true);
-      FoldRouteSteps(*mrrg_, (*routes)[i]);
-      last_route_steps_ += static_cast<int>((*routes)[i].steps.size());
-      routes_[static_cast<size_t>(e)] = std::move((*routes)[i]);
-      routed.push_back(e);
-    }
-    batch_edges.clear();
-    batch_reqs.clear();
-    return true;
-  };
   for (int e : edges_of_[static_cast<size_t>(op)]) {
     const DfgEdge& edge = edges_[static_cast<size_t>(e)];
     if (routes_[static_cast<size_t>(e)].has_value()) continue;  // self-loop routed once
@@ -178,30 +143,6 @@ bool PlaceRouteState::TryPlace(OpId op, int cell, int time,
     // Folded producers (constants / loop counter) need no route.
     if (arch_->IsFolded(dfg_->op(edge.from).opcode)) continue;
     if (other != op && !IsPlaced(other)) continue;
-    if (edge.from == op && edge.to_port != kOrderPort) {
-      const Placement& to = place_[static_cast<size_t>(edge.to)];
-      const int arrive = to.time + ii_ * edge.distance;
-      if (arrive < self.time + 1) {
-        // The edges queued ahead of this one still route first (and
-        // may themselves fail), exactly as the sequential loop would.
-        if (flush_fanout()) last_fail_ = FailReason::kTimingViolated;
-        ok = false;
-        break;
-      }
-      RouteRequest req;
-      req.from_cell = self.cell;
-      req.from_time = self.time;
-      req.to_cell = to.cell;
-      req.to_time = arrive;
-      req.value = edge.from;
-      batch_edges.push_back(e);
-      batch_reqs.push_back(req);
-      continue;
-    }
-    if (!flush_fanout()) {
-      ok = false;
-      break;
-    }
     if (!RouteEdge(e, router_options)) {
       ok = false;
       break;
@@ -210,7 +151,6 @@ bool PlaceRouteState::TryPlace(OpId op, int cell, int time,
         static_cast<int>(routes_[static_cast<size_t>(e)]->steps.size());
     routed.push_back(e);
   }
-  if (ok && !flush_fanout()) ok = false;
 
   if (!ok) {
     for (int e : routed) UnrouteEdge(e);

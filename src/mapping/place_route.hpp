@@ -79,10 +79,6 @@ class PlaceRouteState {
   Mapping Finalize() const;
 
  private:
-  struct EdgeRef {
-    int edge_index;  ///< into edges_
-  };
-
   bool RouteEdge(int edge_index, const RouterOptions& options);
   void UnrouteEdge(int edge_index);
   int BankOf(int cell) const { return arch_->caps(cell).bank; }

@@ -6,7 +6,6 @@
 #include <queue>
 
 #include "mapping/perf.hpp"
-#include "support/str.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace cgra {
@@ -47,30 +46,30 @@ class StateQueue
 // an entry belongs to the current query iff stamp == epoch — so reuse
 // across queries (and across II-escalation retries inside one mapper
 // run) needs no clearing and can never leak a stale parent chain into
-// a later route. The goal/hop caches carry their own epoch so a
-// RouteFanout batch can keep them warm across consecutive sinks on the
-// same consumer cell while the per-state stamps advance.
+// a later route. The per-node goal and hop-bound stamps share the
+// query epoch, so each query starts with an empty goal set and cache.
 struct Scratch {
   std::vector<double> best;
   std::vector<std::int32_t> parent;      ///< arena index of predecessor, -1 root
   std::vector<std::uint32_t> stamp;      ///< per-state epoch
-  std::vector<std::uint32_t> goal_stamp; ///< per-node: is a goal this goal-epoch
+  std::vector<std::uint32_t> goal_stamp; ///< per-node: is a goal this epoch
   std::vector<std::uint32_t> hop_stamp;  ///< per-node: hop_lb cache validity
   std::vector<std::int32_t> hop_lb;      ///< per-node cached hops-to-goal bound
   std::vector<State> heap_storage;
   std::uint32_t epoch = 0;
-  std::uint32_t goal_epoch = 0;
   std::uint64_t reuses = 0;
   std::uint64_t grows = 0;
 
-  /// Starts a query: bumps the state epoch (clearing all state stamps
-  /// on the rare uint32 wrap) and guarantees capacity for `states`
-  /// packed states and `nodes` per-node entries. Returns true when the
-  /// arena had to (re)allocate, false when the warm arrays were reused
-  /// as-is.
+  /// Starts a query: bumps the epoch (clearing every state, goal and
+  /// hop stamp on the rare uint32 wrap) and guarantees capacity for
+  /// `states` packed states and `nodes` per-node entries. Returns true
+  /// when the arena had to (re)allocate, false when the warm arrays
+  /// were reused as-is.
   bool Begin(std::size_t states, std::size_t nodes) {
     if (++epoch == 0) {
       std::fill(stamp.begin(), stamp.end(), 0u);
+      std::fill(goal_stamp.begin(), goal_stamp.end(), 0u);
+      std::fill(hop_stamp.begin(), hop_stamp.end(), 0u);
       epoch = 1;
     }
     bool grew = false;
@@ -90,16 +89,6 @@ struct Scratch {
     }
     return grew;
   }
-
-  /// Invalidates the goal set and hop-bound caches (same wrap
-  /// discipline as the state stamps).
-  void BeginGoals() {
-    if (++goal_epoch == 0) {
-      std::fill(goal_stamp.begin(), goal_stamp.end(), 0u);
-      std::fill(hop_stamp.begin(), hop_stamp.end(), 0u);
-      goal_epoch = 1;
-    }
-  }
 };
 
 Scratch& TlsScratch() {
@@ -107,14 +96,15 @@ Scratch& TlsScratch() {
   return scratch;
 }
 
-// One route query against the calling thread's arena. Exactly the
-// semantics RouteValue documents; RouteFanout calls it once per sink.
-// `new_goals` == false reuses the previous call's goal set and hop
-// cache — valid only when the consumer cell is unchanged (the caches
-// are functions of the goal set alone, not of time or tracker state).
-Result<Route> RouteOne(const Mrrg& mrrg, ResourceTracker& tracker,
-                       const RouteRequest& request,
-                       const RouterOptions& options, bool new_goals) {
+}  // namespace
+
+Result<Route> RouteValue(const Mrrg& mrrg, ResourceTracker& tracker,
+                         const RouteRequest& request,
+                         const RouterOptions& options) {
+  // Per-query spans only under the detail gate: a mapper issues
+  // thousands of these, which would swamp the rings on a normal trace.
+  telemetry::Span query_span(telemetry::DetailEnabled() ? "phase.route"
+                                                        : nullptr);
   PerfCounters& perf = ThreadPerfCounters();
   ++perf.router_queries;
 
@@ -164,13 +154,9 @@ Result<Route> RouteOne(const Mrrg& mrrg, ResourceTracker& tracker,
   };
 
   const auto goals = mrrg.ReadableHolds(request.to_cell);
-  if (new_goals) {
-    scratch.BeginGoals();
-    for (int g : goals) {
-      scratch.goal_stamp[static_cast<std::size_t>(g)] = scratch.goal_epoch;
-    }
+  for (int g : goals) {
+    scratch.goal_stamp[static_cast<std::size_t>(g)] = epoch;
   }
-  const std::uint32_t goal_epoch = scratch.goal_epoch;
 
   auto node_cost = [&](int node) {
     double c = options.step_cost;
@@ -189,7 +175,7 @@ Result<Route> RouteOne(const Mrrg& mrrg, ResourceTracker& tracker,
   // contribute no hop bound.
   auto goal_hops = [&](int node) -> int {
     std::uint32_t& cached = scratch.hop_stamp[static_cast<std::size_t>(node)];
-    if (cached == goal_epoch) {
+    if (cached == epoch) {
       return scratch.hop_lb[static_cast<std::size_t>(node)];
     }
     int bound = 0;
@@ -207,7 +193,7 @@ Result<Route> RouteOne(const Mrrg& mrrg, ResourceTracker& tracker,
       }
       if (bound == INT_MAX) bound = 0;
     }
-    cached = goal_epoch;
+    cached = epoch;
     scratch.hop_lb[static_cast<std::size_t>(node)] = bound;
     return bound;
   };
@@ -249,7 +235,7 @@ Result<Route> RouteOne(const Mrrg& mrrg, ResourceTracker& tracker,
     const std::size_t k = index(s.node, s.time, s.stay);
     if (scratch.stamp[k] != epoch || scratch.best[k] < s.g) continue;
     if (s.time == request.to_time &&
-        scratch.goal_stamp[static_cast<std::size_t>(s.node)] == goal_epoch) {
+        scratch.goal_stamp[static_cast<std::size_t>(s.node)] == epoch) {
       goal_idx = static_cast<std::int64_t>(k);
       break;
     }
@@ -322,63 +308,6 @@ Result<Route> RouteOne(const Mrrg& mrrg, ResourceTracker& tracker,
   return route;
 }
 
-}  // namespace
-
-Result<Route> RouteValue(const Mrrg& mrrg, ResourceTracker& tracker,
-                         const RouteRequest& request,
-                         const RouterOptions& options) {
-  // Per-query spans only under the detail gate: a mapper issues
-  // thousands of these, which would swamp the rings on a normal trace.
-  telemetry::Span query_span(telemetry::DetailEnabled() ? "phase.route"
-                                                        : nullptr);
-  return RouteOne(mrrg, tracker, request, options, /*new_goals=*/true);
-}
-
-Result<std::vector<Route>> RouteFanout(const Mrrg& mrrg,
-                                       ResourceTracker& tracker,
-                                       const RouteRequest* requests,
-                                       std::size_t num_requests,
-                                       const RouterOptions& options) {
-  telemetry::Span batch_span(telemetry::DetailEnabled() ? "phase.route_fanout"
-                                                        : nullptr);
-  std::vector<Route> routes;
-  routes.reserve(num_requests);
-  for (std::size_t i = 1; i < num_requests; ++i) {
-    if (requests[i].from_cell != requests[0].from_cell ||
-        requests[i].from_time != requests[0].from_time ||
-        requests[i].value != requests[0].value) {
-      return Error::Internal(
-          "RouteFanout requests must share (from_cell, from_time, value)");
-    }
-  }
-
-  for (std::size_t i = 0; i < num_requests; ++i) {
-    // The goal set and hop-bound caches depend only on the consumer
-    // cell; consecutive sinks on the same consumer keep them warm.
-    const bool new_goals =
-        i == 0 || requests[i].to_cell != requests[i - 1].to_cell;
-    auto route = RouteOne(mrrg, tracker, requests[i], options, new_goals);
-    if (!route.ok()) {
-      // Atomic batch: un-commit every earlier sink before reporting.
-      if (!options.ignore_capacity) {
-        for (std::size_t j = routes.size(); j-- > 0;) {
-          ReleaseRoute(tracker, routes[j], requests[j].value);
-        }
-      }
-      return Error::Unmappable(
-          StrFormat("fanout sink %d/%d unroutable: %s", static_cast<int>(i),
-                    static_cast<int>(num_requests),
-                    route.error().message.c_str()));
-    }
-    routes.push_back(std::move(route).value());
-  }
-
-  PerfCounters& perf = ThreadPerfCounters();
-  ++perf.fanout_batches;
-  perf.fanout_batched_routes += static_cast<std::uint64_t>(num_requests);
-  return routes;
-}
-
 void ReleaseRoute(ResourceTracker& tracker, const Route& route, ValueId value) {
   for (const RouteStep& step : route.steps) {
     tracker.Release(step.node, step.time, value);
@@ -399,10 +328,7 @@ ScratchStats CurrentScratchStats() {
 
 void ResetScratchForTest() { TlsScratch() = Scratch{}; }
 
-void SetEpochForTest(std::uint32_t epoch) {
-  TlsScratch().epoch = epoch;
-  TlsScratch().goal_epoch = epoch;
-}
+void SetEpochForTest(std::uint32_t epoch) { TlsScratch().epoch = epoch; }
 
 }  // namespace router_internal
 

@@ -67,25 +67,6 @@ Result<Route> RouteValue(const Mrrg& mrrg, ResourceTracker& tracker,
                          const RouteRequest& request,
                          const RouterOptions& options = {});
 
-/// Batched multi-query routing: routes every fanout edge of one placed
-/// op — all requests MUST share (from_cell, from_time, value) — in one
-/// arena pass. Requests are served in order with semantics bit-identical
-/// to calling RouteValue sequentially (same tie-breaking, same tracker
-/// evolution; asserted by tests/test_router_golden.cpp), but the batch
-/// shares the scratch arena, the recycled heap storage, and — across
-/// consecutive sinks on the same consumer cell — the goal set and
-/// hop-bound caches, instead of paying per-query setup.
-///
-/// Atomic: on success every returned route is recorded in the tracker
-/// (routes[i] answers requests[i]); on failure NOTHING is recorded —
-/// routes committed before the failing sink are released again — and
-/// the error names the failing sink. See docs/MRRG.md §RouteFanout.
-Result<std::vector<Route>> RouteFanout(const Mrrg& mrrg,
-                                       ResourceTracker& tracker,
-                                       const RouteRequest* requests,
-                                       std::size_t num_requests,
-                                       const RouterOptions& options = {});
-
 /// Releases every step of `route` for `value`.
 void ReleaseRoute(ResourceTracker& tracker, const Route& route, ValueId value);
 

@@ -81,8 +81,8 @@ struct SearchLog {
   std::uint64_t place_evictions = 0;  ///< Unplace during search (backtracks)
   std::uint64_t reject_reasons[kNumRejectReasons] = {};
 
-  // Routing effort (edge-level, not per-query: one attempt per edge or
-  // fanout batch member the placer asked the router to commit).
+  // Routing effort (edge-level, not per-query: one attempt per edge the
+  // placer routed; a failed placement stops at its first failing edge).
   std::uint64_t route_attempts = 0;
   std::uint64_t route_failures = 0;
   std::uint64_t route_steps = 0;        ///< committed HOLD/RT occupancies

@@ -262,15 +262,6 @@ TEST(MapperRegistryTest, ByTechniqueAndByKindPartitionTheCatalogue) {
   EXPECT_EQ(by_kind, registry.size());
 }
 
-TEST(MapperRegistryTest, CompatWrapperMatchesRegistryOrder) {
-  const auto& registry = MapperRegistry::Global();
-  const auto fresh = MakeAllMappers();
-  ASSERT_EQ(fresh.size(), registry.size());
-  for (std::size_t i = 0; i < fresh.size(); ++i) {
-    EXPECT_EQ(fresh[i]->name(), registry.at(i).name()) << "index " << i;
-  }
-}
-
 // ---- MII bounds ---------------------------------------------------------------
 
 TEST(Mii, RecurrenceBoundFromIir) {

@@ -1,6 +1,7 @@
 // Tests for the mapping core: resource tracker, time-extended router,
 // incremental place-and-route, validator, stats.
 #include <algorithm>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 #include "arch/mrrg.hpp"
 #include "ir/kernels.hpp"
 #include "mapping/mapping.hpp"
+#include "mapping/perf.hpp"
 #include "mapping/place_route.hpp"
 #include "mapping/router.hpp"
 #include "mapping/tracker.hpp"
@@ -260,6 +262,82 @@ TEST(PlaceRoute, BankPortsEnforced) {
   ASSERT_TRUE(state.TryPlace(1, arch.CellAt(0, 0), 0));   // load A
   EXPECT_FALSE(state.TryPlace(2, arch.CellAt(1, 0), 0));  // load B same slot
   EXPECT_EQ(state.last_fail(), PlaceRouteState::FailReason::kBankPortConflict);
+}
+
+// An input `x` with two routed fanout edges (to outputs o1 and o2)
+// plus an unrelated input `w` -> output o3. With one register per cell
+// and II = 1, any step the failed placement of `x` left behind in the
+// tracker would block `w` from latching into the same register.
+// Members initialize in declaration order, `dfg` first.
+struct FanoutFixture {
+  Dfg dfg;
+  OpId x = dfg.AddInput(0, "x");
+  OpId o1 = dfg.AddOutput(x, 0, "o1");
+  OpId o2 = dfg.AddOutput(x, 1, "o2");
+  OpId w = dfg.AddInput(1, "w");
+  OpId o3 = dfg.AddOutput(w, 2, "o3");
+};
+
+// Places `x` on (0,0) at cycle 0 with o1 one hop away and o2 on
+// (`bad_row`, `bad_col`) at `bad_time`: the first edge routes, the
+// second cannot. TryPlace must fail with `want` after exactly
+// `want_queries` router calls, and the rolled-back state must then
+// place and finalize exactly like a fresh one.
+void CheckFailedFanoutRollsBack(int bad_row, int bad_col, int bad_time,
+                                PlaceRouteState::FailReason want,
+                                std::uint64_t want_queries) {
+  const FanoutFixture f;
+  ArchParams params;
+  params.rf_size = 1;
+  const Architecture arch{params};
+  const Mrrg mrrg(arch);
+  const int origin = arch.CellAt(0, 0);
+
+  PlaceRouteState state(f.dfg, arch, mrrg, /*ii=*/1);
+  ASSERT_TRUE(state.TryPlace(f.o1, arch.CellAt(0, 1), 1));
+  ASSERT_TRUE(state.TryPlace(f.o2, arch.CellAt(bad_row, bad_col), bad_time));
+  const PerfCounters before = ThreadPerfCounters();
+  EXPECT_FALSE(state.TryPlace(f.x, origin, 0));
+  EXPECT_EQ(state.last_fail(), want);
+  EXPECT_EQ((ThreadPerfCounters() - before).router_queries, want_queries);
+  EXPECT_FALSE(state.IsPlaced(f.x));
+  EXPECT_EQ(state.placed_count(), 2);
+  state.Unplace(f.o2);
+
+  PlaceRouteState fresh(f.dfg, arch, mrrg, /*ii=*/1);
+  ASSERT_TRUE(fresh.TryPlace(f.o1, arch.CellAt(0, 1), 1));
+  for (PlaceRouteState* s : {&state, &fresh}) {
+    // `w` latches into the register `x`'s first route used.
+    ASSERT_TRUE(s->TryPlace(f.w, origin, 0));
+    ASSERT_TRUE(s->TryPlace(f.o3, arch.CellAt(1, 0), 1));
+    ASSERT_TRUE(s->TryPlace(f.o2, arch.CellAt(0, 3), 1));
+    ASSERT_TRUE(s->TryPlace(f.x, arch.CellAt(0, 2), 0));
+  }
+  const Mapping got = state.Finalize();
+  const Mapping want_mapping = fresh.Finalize();
+  EXPECT_TRUE(ValidateMapping(f.dfg, arch, got).ok());
+  ASSERT_EQ(got.place.size(), want_mapping.place.size());
+  for (size_t i = 0; i < got.place.size(); ++i) {
+    EXPECT_EQ(got.place[i].cell, want_mapping.place[i].cell) << "op " << i;
+    EXPECT_EQ(got.place[i].time, want_mapping.place[i].time) << "op " << i;
+  }
+  ASSERT_EQ(got.routes.size(), want_mapping.routes.size());
+  for (size_t e = 0; e < got.routes.size(); ++e) {
+    EXPECT_EQ(got.routes[e].steps, want_mapping.routes[e].steps) << "edge " << e;
+  }
+  EXPECT_EQ(got.length, want_mapping.length);
+}
+
+TEST(PlaceRoute, FanoutTimingFailureRollsBackRoutedEdge) {
+  // o2 issues in x's own cycle: the edge is checked, never routed.
+  CheckFailedFanoutRollsBack(0, 3, 0,
+                             PlaceRouteState::FailReason::kTimingViolated, 1);
+}
+
+TEST(PlaceRoute, FanoutRouteFailureRollsBackRoutedEdge) {
+  // o2 is six hops away but must read x one cycle after it issues.
+  CheckFailedFanoutRollsBack(3, 3, 1,
+                             PlaceRouteState::FailReason::kRouteCongested, 2);
 }
 
 TEST(Validator, RejectsCorruptedMappings) {
