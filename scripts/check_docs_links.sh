@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Keep docs/ honest: every file referenced from the docs must exist
 # (binaries resolve to their .cpp, directories to themselves), every
-# `path:line` pointer must point inside the file, and README must
-# actually link the doc pages. Pure grep/sed — no dependencies — so CI
-# can run it anywhere. Run from the repository root.
+# `path:line` pointer must land on a line naming the symbol the doc
+# cites for it, and README must actually link the doc pages. Pure
+# grep/sed/awk — no dependencies — so CI can run it anywhere. Run from
+# the repository root.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -57,6 +58,50 @@ for ref in $refs; do
       ;;
   esac
 done
+
+# 2b. Every `path:line` pointer lands on a line that names the symbol
+#     the doc cites for it: the nearest backticked name before the
+#     pointer, on the same doc line or else the line above. A name is a
+#     backticked span that starts with a letter or `_` and holds no
+#     `/`; its leading identifier is taken (`Mrrg::max_capacity() x II`
+#     -> `Mrrg::max_capacity`), then its last `::` component. A line
+#     count alone misses a pointer that drifted onto a neighbour.
+cited=$(awk '
+  function last_name(text,    name, span) {
+    name = ""
+    while (match(text, /`[^`]+`/)) {
+      span = substr(text, RSTART + 1, RLENGTH - 2)
+      text = substr(text, RSTART + RLENGTH)
+      if (span ~ /^[A-Za-z_]/ && span !~ /\//) name = span
+    }
+    match(name, /^[A-Za-z_][A-Za-z0-9_:]*/)
+    name = substr(name, RSTART, RLENGTH)
+    sub(/.*::/, "", name)
+    return name
+  }
+  {
+    rest = $0; before = ""
+    while (match(rest, /`(src|bench|scripts|tests)\/[A-Za-z0-9_.\/-]+:[0-9]+`/)) {
+      ref = substr(rest, RSTART + 1, RLENGTH - 2)
+      before = before substr(rest, 1, RSTART + RLENGTH - 1)
+      rest = substr(rest, RSTART + RLENGTH)
+      name = last_name(before)
+      if (name == "") name = last_name(prev)
+      print FILENAME ":" FNR " " ref " " (name == "" ? "-" : name)
+    }
+    prev = $0
+  }' docs/*.md)
+while read -r where ref name; do
+  [ -n "$where" ] || continue
+  path=${ref%%:*}
+  line=${ref##*:}
+  [ -f "$path" ] || continue  # reported by check 2
+  if [ "$name" = "-" ]; then
+    err "$where: $ref cites no backticked name before it"
+  elif ! sed -n "${line}p" "$path" | grep -qw -- "$name"; then
+    err "$where: $ref does not name \`$name\`: $(sed -n "${line}p" "$path")"
+  fi
+done <<< "$cited"
 
 # 3. Relative markdown links inside docs/ resolve.
 links=$(grep -hoE '\]\(([A-Za-z0-9_./-]+\.md)\)' docs/*.md | \

@@ -15,6 +15,10 @@ than --tolerance-pct above it.
 Rows present in the baseline but absent from the candidate are
 failures (a silently dropped benchmark is a regression too); new
 candidate rows are fine. Only rows ok in both files race the clock.
+The gate also holds the results, not only the speed: each router_micro
+route_digest and each mapping_digest of a row ok in both files must
+equal the baseline's. The effort counters are not gated; a change that
+skips work lowers them on purpose.
 
 usage: check_perf_json.py BENCH_perf.json
        check_perf_json.py BENCH_perf.json --compare BASELINE \
@@ -87,7 +91,8 @@ def is_hex_digest(s):
 
 
 def compare_to_baseline(path, doc, base_path, baseline, tolerance_pct):
-    """Appends to `errors` for every perf regression beyond tolerance."""
+    """Appends to `errors` for every digest that differs from the
+    baseline and every perf regression beyond tolerance."""
     slack = tolerance_pct / 100.0
 
     def rate_floor(v):
@@ -106,6 +111,9 @@ def compare_to_baseline(path, doc, base_path, baseline, tolerance_pct):
         if crow is None:
             fail(where, f"present in baseline {base_path} but missing here")
             continue
+        if crow.get("route_digest") != brow["route_digest"]:
+            fail(where, f"route_digest {crow.get('route_digest')!r} != "
+                 f"baseline {brow['route_digest']!r}")
         base_qps, qps = brow["queries_per_sec"], crow.get("queries_per_sec")
         if isinstance(qps, (int, float)) and qps < rate_floor(base_qps):
             fail(where,
@@ -127,6 +135,9 @@ def compare_to_baseline(path, doc, base_path, baseline, tolerance_pct):
         if not crow.get("ok"):
             fail(where, "ok in baseline but failed here")
             continue
+        if crow.get("mapping_digest") != brow["mapping_digest"]:
+            fail(where, f"mapping_digest {crow.get('mapping_digest')!r} != "
+                 f"baseline {brow['mapping_digest']!r}")
         base_wall, wall = brow["wall_seconds"], crow.get("wall_seconds")
         if isinstance(wall, (int, float)) and wall > time_ceiling(base_wall):
             fail(where,
@@ -219,8 +230,8 @@ def main():
             return 1
         compare_to_baseline(path, doc, args.compare, baseline,
                             args.tolerance_pct)
-        compared = (f", within {args.tolerance_pct:g}% of "
-                    f"{args.compare}")
+        compared = (f", digests equal to and speed within "
+                    f"{args.tolerance_pct:g}% of {args.compare}")
 
     if errors:
         for e in errors:

@@ -69,7 +69,11 @@ bool PlaceRouteState::RouteEdge(int edge_index, const RouterOptions& options) {
     routes_[static_cast<size_t>(edge_index)] = Route{};
     return true;
   }
-  if (arrive < from.time + 1) {
+  // The value latches at from.time + 1 and moves at most one cell per
+  // cycle, so it reaches no register the consumer reads before
+  // from.time + 1 + hops: RouteValue would search and fail.
+  const int hops = HopsToReader(*mrrg_, mrrg_->HoldNode(from.cell), to.cell);
+  if (hops < 0 || arrive < from.time + 1 + hops) {
     last_fail_ = FailReason::kTimingViolated;
     return false;
   }

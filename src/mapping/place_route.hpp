@@ -69,7 +69,8 @@ class PlaceRouteState {
     kIncompatibleCell,
     kFuBusy,
     kBankPortConflict,
-    kTimingViolated,  ///< an incident edge's latency would be < 1
+    kTimingViolated,  ///< an incident edge's latency would be < 1, or
+                      ///< shorter than its fabric distance (HopsToReader)
     kRouteCongested,  ///< router found no capacity-respecting path
   };
   FailReason last_fail() const { return last_fail_; }

@@ -98,6 +98,20 @@ Scratch& TlsScratch() {
 
 }  // namespace
 
+int HopsToReader(const Mrrg& mrrg, int node, int to_cell) {
+  const int cell = mrrg.cell(node);
+  if (cell < 0) return 0;  // the shared register file
+  const Architecture& arch = mrrg.arch();
+  int hops = -1;
+  for (const int g : mrrg.ReadableHolds(to_cell)) {
+    const int gcell = mrrg.cell(g);
+    if (gcell < 0) return 0;
+    const int d = arch.HopDistance(cell, gcell);
+    if (d >= 0 && (hops < 0 || d < hops)) hops = d;
+  }
+  return hops;
+}
+
 Result<Route> RouteValue(const Mrrg& mrrg, ResourceTracker& tracker,
                          const RouteRequest& request,
                          const RouterOptions& options) {
@@ -153,8 +167,7 @@ Result<Route> RouteValue(const Mrrg& mrrg, ResourceTracker& tracker,
            static_cast<std::size_t>(stay);
   };
 
-  const auto goals = mrrg.ReadableHolds(request.to_cell);
-  for (int g : goals) {
+  for (const int g : mrrg.ReadableHolds(request.to_cell)) {
     scratch.goal_stamp[static_cast<std::size_t>(g)] = epoch;
   }
 
@@ -170,29 +183,16 @@ Result<Route> RouteValue(const Mrrg& mrrg, ResourceTracker& tracker,
   // ---- admissible A* bound -------------------------------------------------
   // Every remaining step costs >= step_cost (history costs are
   // non-negative), every step advances time by at most one cycle, and
-  // reaching a goal cell from `node`'s cell needs at least the fabric
-  // hop distance in both steps and cycles. Shared-RF nodes (cell < 0)
-  // contribute no hop bound.
+  // reaching a goal from `node` needs at least HopsToReader hops in both
+  // steps and cycles. A node that reaches no goal gets an infinite
+  // bound, so the deadline prune below drops it.
   auto goal_hops = [&](int node) -> int {
     std::uint32_t& cached = scratch.hop_stamp[static_cast<std::size_t>(node)];
     if (cached == epoch) {
       return scratch.hop_lb[static_cast<std::size_t>(node)];
     }
-    int bound = 0;
-    const int cell = mrrg.cell(node);
-    if (cell >= 0) {
-      const Architecture& arch = mrrg.arch();
-      bound = INT_MAX;
-      for (int g : goals) {
-        const int gcell = mrrg.cell(g);
-        if (gcell < 0) {
-          bound = 0;
-          break;
-        }
-        bound = std::min(bound, arch.HopDistance(cell, gcell));
-      }
-      if (bound == INT_MAX) bound = 0;
-    }
+    const int hops = HopsToReader(mrrg, node, request.to_cell);
+    const int bound = hops < 0 ? INT_MAX : hops;
     cached = epoch;
     scratch.hop_lb[static_cast<std::size_t>(node)] = bound;
     return bound;

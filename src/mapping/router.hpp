@@ -67,6 +67,15 @@ Result<Route> RouteValue(const Mrrg& mrrg, ResourceTracker& tracker,
                          const RouteRequest& request,
                          const RouterOptions& options = {});
 
+/// Fewest fabric hops from MRRG node `node`'s cell to a register
+/// `to_cell`'s FU reads: 0 when either side is the shared register
+/// file, -1 when no reader can be reached. Each hop costs exactly one
+/// cycle (HOLD -> neighbour RT at latency 0, RT -> its HOLD at 1), so
+/// a value held in `node` at cycle t reaches no reader before t + hops.
+/// This is the fabric-distance bound of both the placement timing rule
+/// (PlaceRouteState) and RouteValue's A* prune.
+int HopsToReader(const Mrrg& mrrg, int node, int to_cell);
+
 /// Releases every step of `route` for `value`.
 void ReleaseRoute(ResourceTracker& tracker, const Route& route, ValueId value);
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "arch/arch.hpp"
+#include "arch/fault.hpp"
 #include "arch/mrrg.hpp"
 #include "ir/kernels.hpp"
 #include "mapping/mapping.hpp"
@@ -139,6 +140,58 @@ TEST(Router, TooFarForDeadlineFails) {
   req.to_time = 2;                  // only 2 cycles
   req.value = 0;
   EXPECT_FALSE(RouteValue(mrrg, t, req).ok());
+}
+
+// (0,0) keeps its link into (0,1), so it stays one of (0,1)'s readers,
+// but every link into (0,0) is cut: no producer can reach it. That
+// reader must not weaken A*'s deadline prune, so each search matches,
+// push for push, the one on a fabric where (0,0) is no reader at all.
+TEST(Router, UnreachableReaderKeepsAStarPrune) {
+  const Architecture base = Architecture::Adres4x4();
+  const int corner = base.CellAt(0, 0);
+  const int consumer = base.CellAt(0, 1);
+  const int producer = base.CellAt(3, 3);
+  FaultModel cut_in;
+  cut_in.KillLink(consumer, corner);
+  cut_in.KillLink(base.CellAt(1, 0), corner);
+  FaultModel cut_all = cut_in;
+  cut_all.KillLink(corner, consumer);
+  const Architecture with_reader = base.WithFaults(cut_in);
+  const Architecture without_reader = base.WithFaults(cut_all);
+  ASSERT_EQ(with_reader.ReadableFrom(consumer).size(), 4u);
+  ASSERT_EQ(without_reader.ReadableFrom(consumer).size(), 3u);
+
+  const Mrrg with_mrrg(with_reader);
+  const Mrrg without_mrrg(without_reader);
+  // (0,2) and (1,1) are four hops from (3,3); (0,0) is unreachable.
+  EXPECT_EQ(HopsToReader(with_mrrg, with_mrrg.HoldNode(producer), consumer), 4);
+  EXPECT_EQ(HopsToReader(with_mrrg, with_mrrg.HoldNode(producer), corner), -1);
+
+  RouterOptions astar;
+  astar.use_heuristic = true;
+  // One cycle short of the bound, exactly on it, and with slack.
+  for (const int to_time : {4, 5, 8}) {
+    std::uint64_t pushes[2] = {0, 0};
+    std::vector<RouteStep> steps[2];
+    int i = 0;
+    for (const Mrrg* mrrg : {&with_mrrg, &without_mrrg}) {
+      ResourceTracker t(*mrrg, 2);
+      RouteRequest req;
+      req.from_cell = producer;
+      req.from_time = 0;
+      req.to_cell = consumer;
+      req.to_time = to_time;
+      req.value = 0;
+      const PerfCounters before = ThreadPerfCounters();
+      const auto route = RouteValue(*mrrg, t, req, astar);
+      pushes[i] = (ThreadPerfCounters() - before).router_pushes;
+      if (route.ok()) steps[i] = route->steps;
+      EXPECT_EQ(route.ok(), to_time >= 5) << "to_time " << to_time;
+      ++i;
+    }
+    EXPECT_EQ(pushes[0], pushes[1]) << "to_time " << to_time;
+    EXPECT_EQ(steps[0], steps[1]) << "to_time " << to_time;
+  }
 }
 
 TEST(Router, CongestionForcesDetourOrFailure) {
@@ -282,13 +335,15 @@ struct FanoutFixture {
 // (`bad_row`, `bad_col`) at `bad_time`: the first edge routes, the
 // second cannot. TryPlace must fail with `want` after exactly
 // `want_queries` router calls, and the rolled-back state must then
-// place and finalize exactly like a fresh one.
-void CheckFailedFanoutRollsBack(int bad_row, int bad_col, int bad_time,
-                                PlaceRouteState::FailReason want,
+// place and finalize exactly like a fresh one. The fabric is a 4x4
+// mesh with one register per cell and `route_channels` channels.
+void CheckFailedFanoutRollsBack(int route_channels, int bad_row, int bad_col,
+                                int bad_time, PlaceRouteState::FailReason want,
                                 std::uint64_t want_queries) {
   const FanoutFixture f;
   ArchParams params;
   params.rf_size = 1;
+  params.route_channels = route_channels;
   const Architecture arch{params};
   const Mrrg mrrg(arch);
   const int origin = arch.CellAt(0, 0);
@@ -330,13 +385,22 @@ void CheckFailedFanoutRollsBack(int bad_row, int bad_col, int bad_time,
 
 TEST(PlaceRoute, FanoutTimingFailureRollsBackRoutedEdge) {
   // o2 issues in x's own cycle: the edge is checked, never routed.
-  CheckFailedFanoutRollsBack(0, 3, 0,
+  CheckFailedFanoutRollsBack(1, 0, 3, 0,
+                             PlaceRouteState::FailReason::kTimingViolated, 1);
+}
+
+TEST(PlaceRoute, FanoutDistanceFailureRollsBackRoutedEdge) {
+  // o2's nearest reader is five hops away but o2 reads x one cycle
+  // after it issues: the fabric distance rejects the edge unrouted.
+  CheckFailedFanoutRollsBack(1, 3, 3, 1,
                              PlaceRouteState::FailReason::kTimingViolated, 1);
 }
 
 TEST(PlaceRoute, FanoutRouteFailureRollsBackRoutedEdge) {
-  // o2 is six hops away but must read x one cycle after it issues.
-  CheckFailedFanoutRollsBack(3, 3, 1,
+  // o2 reads x's own register one cycle late, inside the hop window.
+  // Without routing channels x must wait there a second cycle, which
+  // at II = 1 is a second live copy in a one-register file.
+  CheckFailedFanoutRollsBack(0, 1, 0, 2,
                              PlaceRouteState::FailReason::kRouteCongested, 2);
 }
 

@@ -4,6 +4,8 @@
 // over seeds, fabrics, and II values with parameterised gtest.
 #include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -103,6 +105,79 @@ TEST(RouterProperty, RouteReleaseIsExactInverse) {
     EXPECT_EQ(tracker.Load(n, 0), 0);
     EXPECT_EQ(tracker.Load(n, 1), 0);
   }
+}
+
+// HopsToReader is the placement timing rule, so it must be sound on
+// every preset, healthy or faulted: each query it rules out — an
+// unreachable consumer, or an arrival before producer + 1 + hops —
+// fails in RouteValue (Dijkstra) too. On healthy presets with routing
+// channels and per-cell register files it is also tight: arriving
+// exactly at producer + 1 + hops routes, so the bound is not vacuous.
+TEST(RouterProperty, HopBoundIsSoundAndTight) {
+  const std::vector<Architecture> presets = {
+      Architecture::Small2x2(),  Architecture::Adres4x4(),
+      Architecture::Hetero4x4(), Architecture::Spatial4x4(),
+      Architecture::Torus4x4(),  Architecture::Big8x8(),
+      Architecture::Mega16x16(), Architecture::VliwLike4()};
+  FaultModel::RandomSpec spec;
+  spec.dead_cells = 1;
+  spec.dead_links = 3;
+  spec.dead_rf_entries = 2;
+  spec.dead_context_slots = 2;
+  Rng rng(0x40B5);
+  int ruled_out = 0, tight_routed = 0;
+  for (const Architecture& healthy : presets) {
+    for (std::uint64_t draw = 0; draw < 4; ++draw) {
+      const Architecture arch =
+          draw == 0 ? healthy
+                    : healthy.WithFaults(FaultModel::Random(healthy, spec, draw));
+      const Mrrg mrrg(arch);
+      const bool tight = draw == 0 && arch.params().route_channels > 0 &&
+                         arch.params().rf_kind != RfKind::kShared;
+      const int n = arch.num_cells();
+      const int span = arch.rows() + arch.cols();
+      for (int trial = 0; trial < 50; ++trial) {
+        const int ii = rng.NextInt(1, std::min(3, arch.MaxIi()));
+        RouteRequest req;
+        req.from_cell = static_cast<int>(rng.NextIndex(static_cast<size_t>(n)));
+        req.to_cell = static_cast<int>(rng.NextIndex(static_cast<size_t>(n)));
+        req.from_time = rng.NextInt(0, 3);
+        req.value = trial;
+        const int hops =
+            HopsToReader(mrrg, mrrg.HoldNode(req.from_cell), req.to_cell);
+        const std::string where = arch.params().name + " draw " +
+                                  std::to_string(draw) + " trial " +
+                                  std::to_string(trial);
+        // An arrival the bound rules out (any, when no reader is
+        // reachable), then one drawn at random.
+        std::vector<int> arrivals;
+        if (hops != 0) {
+          const int last_ruled_out = hops < 0 ? span : hops - 1;
+          arrivals.push_back(req.from_time + 1 +
+                             rng.NextInt(0, last_ruled_out));
+        }
+        arrivals.push_back(req.from_time + 1 + rng.NextInt(0, span));
+        for (const int arrive : arrivals) {
+          if (hops >= 0 && arrive >= req.from_time + 1 + hops) continue;
+          ResourceTracker tracker(mrrg, ii);
+          req.to_time = arrive;
+          EXPECT_FALSE(RouteValue(mrrg, tracker, req).ok())
+              << where << ": ruled out " << arrive << " with hops " << hops;
+          ++ruled_out;
+        }
+        if (tight) {
+          ASSERT_GE(hops, 0) << where;
+          ResourceTracker tracker(mrrg, ii);
+          req.to_time = req.from_time + 1 + hops;
+          EXPECT_TRUE(RouteValue(mrrg, tracker, req).ok())
+              << where << ": hops " << hops << " should route";
+          ++tight_routed;
+        }
+      }
+    }
+  }
+  EXPECT_GT(ruled_out, 0);
+  EXPECT_GT(tight_routed, 0);
 }
 
 // ---- place-and-route transactionality ------------------------------------------
